@@ -12,6 +12,10 @@ use crate::{CapError, Result};
 use rlcx_geom::{Block, BlockBuilder};
 use rlcx_numeric::rng::UniformRng;
 
+/// Width and thickness draws are truncated at this many standard
+/// deviations (see [`VariationSpec::sample_block`]).
+pub const TRUNCATION_SIGMAS: f64 = 3.0;
+
 /// 3σ-style relative variation magnitudes for interconnect geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationSpec {
@@ -58,6 +62,13 @@ impl VariationSpec {
     /// thickness delta applies to the layer, which the block does not carry,
     /// so callers scale the layer thickness themselves.
     ///
+    /// Both deltas are Gaussian draws clamped to ±[`TRUNCATION_SIGMAS`]σ:
+    /// process corners are specified at 3σ, and an untruncated tail draw
+    /// (a +3.6σ width bias closes a 1 µm gap between 5 µm traces to
+    /// 0.1 µm) models no manufacturable line. Clamping consumes the same
+    /// random numbers as the plain draw, so the stream stays aligned and
+    /// every draw inside the band is bit-identical to the untruncated one.
+    ///
     /// # Errors
     ///
     /// Returns [`CapError::Geometry`] if the draw produces a non-positive
@@ -67,8 +78,9 @@ impl VariationSpec {
         block: &Block,
         rng: &mut R,
     ) -> Result<(Block, f64, f64)> {
-        let dw = rng.gaussian() * self.width_sigma;
-        let dt = rng.gaussian() * self.thickness_sigma;
+        let z_max = TRUNCATION_SIGMAS;
+        let dw = rng.gaussian().clamp(-z_max, z_max) * self.width_sigma;
+        let dt = rng.gaussian().clamp(-z_max, z_max) * self.thickness_sigma;
         let widths = block.widths();
         let spacings = block.spacings();
         let mut b = BlockBuilder::new(block.length()).shield(block.shield());
@@ -167,6 +179,50 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         let (b, dw, _) = spec.sample_block(&base_block(), &mut rng).unwrap();
         assert!((b.widths()[1] - 10.0 * (1.0 + dw)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tail_draws_are_truncated_at_three_sigma() {
+        // Seed 9342 draws a +3.97σ width bias first: untruncated it would
+        // close the 1 µm gaps of this 5/5/5 µm block to 0.05 µm (the
+        // floor).
+        let spec = VariationSpec::typical();
+        let block = Block::coplanar_waveguide(1000.0, 5.0, 5.0, 1.0).unwrap();
+        let z = SplitMix64::new(9342).gaussian();
+        assert!(
+            z > TRUNCATION_SIGMAS,
+            "seed no longer draws a tail: z = {z}"
+        );
+        let (b, dw, dt) = spec
+            .sample_block(&block, &mut SplitMix64::new(9342))
+            .unwrap();
+        let dw_max = TRUNCATION_SIGMAS * spec.width_sigma;
+        assert_eq!(dw, dw_max);
+        assert!(dt.abs() <= TRUNCATION_SIGMAS * spec.thickness_sigma);
+        for (i, &s) in b.spacings().iter().enumerate() {
+            let limit =
+                block.spacings()[i] - 0.5 * dw_max * (block.widths()[i] + block.widths()[i + 1]);
+            assert!(s >= limit - 1e-12, "spacing {s} below 3σ limit {limit}");
+            assert!(s > 0.2, "spacing {s}");
+        }
+    }
+
+    #[test]
+    fn in_band_draws_are_unchanged_by_truncation() {
+        let spec = VariationSpec::typical();
+        for seed in 0..200 {
+            let mut plain = SplitMix64::new(seed);
+            let (zw, zt) = (plain.gaussian(), plain.gaussian());
+            let (_, dw, dt) = spec
+                .sample_block(&base_block(), &mut SplitMix64::new(seed))
+                .unwrap();
+            if zw.abs() <= TRUNCATION_SIGMAS {
+                assert_eq!(dw, zw * spec.width_sigma, "seed {seed}");
+            }
+            if zt.abs() <= TRUNCATION_SIGMAS {
+                assert_eq!(dt, zt * spec.thickness_sigma, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * [`lu`] — LU factorization with partial pivoting (real and complex) and
 //!   the derived solve/inverse/determinant operations, plus in-place
 //!   refactorization and transposed solves,
+//! * [`ldlt`] — unpivoted `L·D·Lᵀ` of complex symmetric matrices with
+//!   positive diagonal real part over the packed lower triangle, the
+//!   factorization behind the fast PEEC block preconditioner,
 //! * [`condest`] — Hager one-norm condition estimation and iterative
 //!   refinement over solve callbacks (dense or sparse),
 //! * [`gmres`] — restarted GMRES over `f64`/[`Complex`] with a matrix-free
@@ -59,6 +62,7 @@ pub mod cholesky;
 pub mod complex;
 pub mod condest;
 pub mod gmres;
+pub mod ldlt;
 pub mod lu;
 pub mod matrix;
 pub mod mor;

@@ -225,7 +225,8 @@ impl PartialSystem {
     /// The full impedance entry point: per-conductor mesh, explicit
     /// [`SolverBackend`], per-stage timings. The stage names are shared by
     /// both backends — `mesh`, `assemble` (dense fill / fast-operator
-    /// build), `factor` (dense LU inverse / block-preconditioner LUs) and
+    /// build), `factor` (dense LU inverse / per-conductor block
+    /// preconditioner `L·D·Lᵀ` factors) and
     /// `reduce` (admittance collapse; on the iterative path this includes
     /// the GMRES solves).
     ///
