@@ -45,8 +45,8 @@ fn main() {
     let sys = bus(8);
     Bench::new("dc_lp_matrix_8").run(|| black_box(sys.lp_matrix()));
 
-    // Serial vs parallel assembly on a 96-conductor bus: the tentpole
-    // speedup measurement (4560 mutual GMD quadratures per fill).
+    // Serial vs parallel assembly on a 96-conductor bus: 4560 closed-form
+    // mutual GMD kernels per fill.
     let threads = thread_count();
     let big = bus(96);
     let t1 =

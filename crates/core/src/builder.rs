@@ -379,10 +379,14 @@ impl TableBuilder {
         if self.backend != SolverBackend::Dense {
             // The fast-operator numerics changed when the H² far field and
             // batched kernels landed; invalidate tables that may have been
-            // characterized through the pre-H² iterative path. Dense-backend
-            // tables are bit-identical across that change and keep their key.
+            // characterized through the pre-H² iterative path.
             let _ = writeln!(desc, "fastop h2-v2");
         }
+        // Kernel revision, for every backend: the closed-form near-field
+        // GMD replaced the order-8 quadrature and moved characterized
+        // values by up to a few 1e-5 relative, so tables stored under the
+        // earlier key must not be served.
+        let _ = writeln!(desc, "gmd closed-form");
         format!("{:016x}", crate::cache::fnv1a64(desc.as_bytes()))
     }
 

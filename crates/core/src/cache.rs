@@ -259,6 +259,48 @@ mod tests {
     }
 
     #[test]
+    fn tables_stored_before_the_closed_form_gmd_are_rebuilt() {
+        use rlcx_peec::SolverBackend;
+        // Keys these builders produced before the kernel-revision line,
+        // when the near-field GMD still came from the order-8 quadrature.
+        let pre_change = [
+            (SolverBackend::Auto, "958181a2ff0dc060"),
+            (SolverBackend::Dense, "9effc669a8c23fc0"),
+            (SolverBackend::Iterative, "e67417be39bd4a4a"),
+        ];
+        for (backend, old) in pre_change {
+            assert_ne!(
+                small_builder().backend(backend).cache_key(),
+                old,
+                "{backend:?}"
+            );
+        }
+
+        let dir = tmp_dir("stale_gmd");
+        let cache = TableCache::new(&dir);
+        let builder = small_builder();
+        let fresh = builder.build().unwrap();
+        // A stale table: recognizably different values, stored under the
+        // pre-change key, and also copied to where the new key lives.
+        let stale = small_builder().frequency(1e9).build().unwrap();
+        let old_path = cache.store(pre_change[0].1, &stale).unwrap();
+        std::fs::copy(&old_path, cache.path_for(&builder.cache_key())).unwrap();
+
+        let built = builder.build_cached(&dir).unwrap();
+        assert!(!built.cache_hit, "stale table must not be served");
+        assert_eq!(built.miss_reason, Some(CacheMiss::WrongKey));
+        let probe = |t: &InductanceTables| t.mutual_l.lookup(5.0, 5.0, 1.0, 500.0);
+        assert_eq!(probe(&built.tables), probe(&fresh));
+        assert_ne!(probe(&built.tables), probe(&stale));
+
+        // The rebuilt file replaced the stale copy and now hits.
+        let again = builder.build_cached(&dir).unwrap();
+        assert!(again.cache_hit);
+        assert_eq!(probe(&again.tables), probe(&fresh));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn cache_key_tracks_every_input() {
         let base = small_builder();
         let k = base.cache_key();

@@ -91,7 +91,7 @@ pub fn thread_count() -> usize {
 /// `0..n` onto itself: callers evaluate item `balanced_index(k, n)` at
 /// position `k` and scatter results back by the returned index. Used by
 /// the PEEC upper-triangle assembly (row `i` costs `n - i` entries) and
-/// the table characterization sweeps (quadrature cost falls with spacing).
+/// the table characterization sweeps (solve cost varies along the sweep).
 #[inline]
 pub fn balanced_index(k: usize, n: usize) -> usize {
     debug_assert!(k < n);
@@ -126,28 +126,41 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    obs::gauge_set("threads.used", threads as f64);
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let shards = n.div_ceil(chunk);
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let out_ptr = SendPtr::new(out.as_mut_ptr());
-    pool::run(shards, threads, |k| {
-        let base = k * chunk;
-        let end = (base + chunk).min(n);
-        for i in base..end {
-            // SAFETY: shard `k` exclusively owns output slots
-            // `[base, end)`; no other task touches them.
-            unsafe { *out_ptr.get().add(i) = Some(f(i)) };
-        }
+    par_for_threads(threads, n, |i| {
+        // SAFETY: every index runs exactly once, so slot `i` has a single
+        // writer.
+        unsafe { *out_ptr.get().add(i) = Some(f(i)) };
     });
     out.into_iter()
         .map(|slot| slot.expect("every index is covered by exactly one shard"))
         .collect()
+}
+
+/// Runs `f(i)` for every `i` in `0..n` with the sharding of
+/// [`par_map_threads`] — up to `threads` claimants (clamped to `[1, n]`),
+/// each taking one contiguous index chunk — but collects nothing: `f`
+/// writes into storage it owns per index, so a caller that keeps that
+/// storage across calls dispatches without allocating.
+///
+/// With `threads <= 1` (or `n <= 1`) this is a plain serial loop that
+/// never touches the pool.
+pub fn par_for_threads<F>(threads: usize, n: usize, f: F)
+where
+    F: Fn(usize) + Sync,
+{
+    let threads = threads.max(1).min(n.max(1));
+    obs::gauge_set("threads.used", threads as f64);
+    if threads <= 1 || n <= 1 {
+        (0..n).for_each(f);
+        return;
+    }
+    let chunk = n.div_ceil(threads);
+    pool::run(n.div_ceil(chunk), threads, |k| {
+        (k * chunk..((k + 1) * chunk).min(n)).for_each(&f);
+    });
 }
 
 /// [`par_map`] whose closure can record per-item [`Timings`]; the per-shard

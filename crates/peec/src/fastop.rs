@@ -3,18 +3,17 @@
 //! bases) and a block-diagonal preconditioner for the GMRES solve path.
 //!
 //! The dense path in [`crate::solver`] assembles the full `n × n` filament
-//! impedance matrix (`n²` GMD quadratures) and factors it (`n³`). This
-//! module replaces both costs for large meshes:
+//! impedance matrix (`n²` closed-form kernel evaluations) and factors it
+//! (`n³`). This module replaces both costs for large meshes:
 //!
 //! * **Kernel caching** ([`KernelCache`]) — a uniform filament mesh of
 //!   parallel equal-span conductors contains only `O(#distinct offsets)`
 //!   geometrically distinct pairs. Partial-inductance values are memoized
 //!   by the canonicalized relative placement `(w1, t1, w2, t2, dt, dz)`,
-//!   collapsing the `O(n²)` quadratures of the dense assembly to the few
-//!   thousand distinct ones. Block fills go through
-//!   [`KernelCache::fill_block`], which batches every missing quadrature
-//!   into one [`crate::partial::mutual_partial_batch`] call so the hot
-//!   4-D GMD loop runs over contiguous SoA lanes.
+//!   collapsing the `O(n²)` kernel evaluations of the dense assembly to
+//!   the few thousand distinct ones. Block fills go through
+//!   [`KernelCache::fill_block`], which evaluates each missing geometry
+//!   once with the scalar closed form.
 //! * **Near/far splitting** ([`FastZOperator`]) — a bisection cluster
 //!   tree over cross-section centers partitions the interaction matrix;
 //!   blocks whose clusters are well separated (gap ≥ η·max diam) are
@@ -54,15 +53,13 @@
 
 use crate::gmd;
 use crate::h2;
-use crate::partial::{
-    dc_resistance, mutual_partial_batch, mutual_partial_relative, self_partial, PairGeom,
-};
+use crate::partial::{dc_resistance, mutual_partial_relative, self_partial};
 use crate::{PeecError, Result};
 use rlcx_geom::Bar;
 use rlcx_numeric::gmres::{gmres, GmresOptions, LinearOperator};
 use rlcx_numeric::ldlt::CSymLdlt;
 use rlcx_numeric::pool::{self, SendPtr};
-use rlcx_numeric::{obs, par_map, thread_count, CMatrix, Complex};
+use rlcx_numeric::{obs, par_for_threads, par_map, thread_count, CMatrix, Complex};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -88,10 +85,11 @@ pub enum SolverBackend {
 pub const ITERATIVE_CUTOVER: usize = 420;
 
 /// The effective [`SolverBackend::Auto`] cutover: `RLCX_PEEC_CUTOVER` when
-/// set to a positive integer, [`ITERATIVE_CUTOVER`] otherwise. The batched
-/// kernels shift the dense/iterative crossover per machine, so deployments
-/// can tune it without a rebuild. Invalid values warn once on stderr and
-/// fall back to the default; the variable is read once per process.
+/// set to a positive integer, [`ITERATIVE_CUTOVER`] otherwise. Kernel and
+/// factorization costs shift the dense/iterative crossover per machine, so
+/// deployments can tune it without a rebuild. Invalid values warn once on
+/// stderr and fall back to the default; the variable is read once per
+/// process.
 pub fn iterative_cutover() -> usize {
     static CUTOVER: OnceLock<usize> = OnceLock::new();
     *CUTOVER.get_or_init(|| cutover_from(std::env::var("RLCX_PEEC_CUTOVER").ok().as_deref()))
@@ -214,7 +212,7 @@ impl FastOpOptions {
 /// pairs exactly at the 4× threshold, where absolute and relative center
 /// distances can round to opposite sides; deciding the branch the same way
 /// the dense path does (and caching per branch) keeps the memoized kernel
-/// within quadrature round-off of [`crate::partial::mutual_partial`]
+/// within round-off of [`crate::partial::mutual_partial`]
 /// instead of picking up the ~1e-3 far-field approximation jump.
 ///
 /// # Concurrency
@@ -260,33 +258,25 @@ fn shard_of(key: &[u64]) -> usize {
     (h % CACHE_SHARDS as u64) as usize
 }
 
-/// Reusable scratch of [`KernelCache::fill_block`], thread-local so the
-/// hot near-field path stops rebuilding its `pending_pos` HashMap (and
-/// friends) on every call: after warm-up a fully-cached fill performs no
-/// heap allocation at all (`tests/obs_overhead.rs` asserts this).
-struct FillScratch {
-    pending: Vec<([u64; 7], PairGeom)>,
-    pending_pos: HashMap<[u64; 7], usize>,
-    slots: Vec<(usize, usize)>,
-    geoms: Vec<PairGeom>,
-    vals: Vec<f64>,
-}
-
-thread_local! {
-    static FILL_SCRATCH: RefCell<FillScratch> = RefCell::new(FillScratch {
-        pending: Vec::new(),
-        pending_pos: HashMap::new(),
-        slots: Vec::new(),
-        geoms: Vec::new(),
-        vals: Vec::new(),
-    });
-}
-
 /// Maps `-0.0` to `+0.0` before taking bits so the two zero encodings
 /// cannot split one geometric key in two.
 #[inline]
 fn key_bits(x: f64) -> u64 {
     (x + 0.0).to_bits()
+}
+
+/// Relative placement of one aligned, equal-length filament pair in the
+/// orientation its cache key was taken from: the arguments of
+/// [`mutual_partial_relative`].
+#[derive(Clone, Copy)]
+struct PairGeom {
+    w1: f64,
+    t1: f64,
+    w2: f64,
+    t2: f64,
+    dt: f64,
+    dz: f64,
+    far: bool,
 }
 
 /// Canonical cache key and evaluation geometry of a filament pair: the
@@ -368,8 +358,8 @@ impl KernelCache {
             }
             s.misses += 1;
         }
-        // Quadrature outside the lock: a first touch must not stall
-        // other tasks' lookups in the same shard.
+        // Evaluate outside the lock: a first touch must not stall other
+        // tasks' lookups in the same shard.
         let v = self_partial(fil);
         self.shard(si).selves.insert(key, v);
         v
@@ -403,91 +393,27 @@ impl KernelCache {
         }
     }
 
-    /// Fills the row-major `rows × cols` kernel block into `out`, batching
-    /// every *distinct missing* geometry into one
-    /// [`mutual_partial_batch`] call so the 4-D GMD quadratures run over
-    /// contiguous SoA lanes instead of one scalar call per entry.
+    /// Fills the row-major `rows × cols` kernel block into `out`.
     ///
-    /// Values and (serial) hit/miss accounting are identical to looping
+    /// Values and hit/miss accounting are those of looping
     /// [`KernelCache::entry`] over the block in row-major order: the first
-    /// encounter of a missing geometry counts as the miss, duplicates
-    /// within the same fill count as hits, and the batched quadrature is
-    /// bit-identical to the scalar one. Scratch state is thread-local and
-    /// reused across calls, so a fully-cached fill does not allocate.
+    /// encounter of a missing geometry evaluates the closed-form kernel and
+    /// counts the miss, and later encounters — within the same fill too —
+    /// count as hits. A fully-cached fill performs no heap allocation
+    /// (`tests/obs_overhead.rs` asserts this).
     ///
     /// # Panics
     ///
     /// Panics (debug) if `out.len() != rows.len() * cols.len()`.
     pub fn fill_block(&self, fils: &[Bar], rows: &[usize], cols: &[usize], out: &mut [f64]) {
         debug_assert_eq!(out.len(), rows.len() * cols.len());
-        FILL_SCRATCH
-            .with(|cell| self.fill_block_with(fils, rows, cols, out, &mut cell.borrow_mut()));
-    }
-
-    fn fill_block_with(
-        &self,
-        fils: &[Bar],
-        rows: &[usize],
-        cols: &[usize],
-        out: &mut [f64],
-        scratch: &mut FillScratch,
-    ) {
-        let nc = cols.len();
-        // Distinct geometries to evaluate, in first-encounter order, and
-        // the out slots each one scatters to. Clearing keeps capacity.
-        scratch.pending.clear();
-        scratch.pending_pos.clear();
-        scratch.slots.clear();
-        // Hit/miss deltas per shard, flushed once at the end so the scan
-        // takes each shard lock O(1) times instead of O(entries).
-        let mut delta = [(0u64, 0u64); CACHE_SHARDS];
-        for (a, &i) in rows.iter().enumerate() {
-            for (b, &j) in cols.iter().enumerate() {
-                let o = a * nc + b;
-                if i == j {
-                    out[o] = self.self_l(&fils[i]);
-                    continue;
-                }
-                let (key, g) = canonical_mutual(&fils[i], &fils[j]);
-                let si = shard_of(&key);
-                let cached = self.shard(si).mutuals.get(&key).copied();
-                if let Some(v) = cached {
-                    delta[si].0 += 1;
-                    out[o] = v;
-                } else if let Some(&pi) = scratch.pending_pos.get(&key) {
-                    delta[si].0 += 1;
-                    scratch.slots.push((o, pi));
-                } else {
-                    delta[si].1 += 1;
-                    let pi = scratch.pending.len();
-                    scratch.pending_pos.insert(key, pi);
-                    scratch.pending.push((key, g));
-                    scratch.slots.push((o, pi));
-                }
-            }
-        }
-        for (si, &(h, m)) in delta.iter().enumerate() {
-            if h != 0 || m != 0 {
-                let mut s = self.shard(si);
-                s.hits += h;
-                s.misses += m;
-            }
-        }
-        if scratch.pending.is_empty() {
+        if cols.is_empty() {
             return;
         }
-        scratch.geoms.clear();
-        scratch
-            .geoms
-            .extend(scratch.pending.iter().map(|&(_, g)| g));
-        scratch.vals.clear();
-        scratch.vals.resize(scratch.geoms.len(), 0.0);
-        mutual_partial_batch(self.length_um, &scratch.geoms, &mut scratch.vals);
-        for ((key, _), &v) in scratch.pending.iter().zip(&scratch.vals) {
-            self.shard(shard_of(key)).mutuals.insert(*key, v);
-        }
-        for &(o, pi) in scratch.slots.iter() {
-            out[o] = scratch.vals[pi];
+        for (orow, &i) in out.chunks_exact_mut(cols.len()).zip(rows) {
+            for (o, &j) in orow.iter_mut().zip(cols) {
+                *o = self.entry(fils, i, j);
+            }
         }
     }
 
@@ -666,7 +592,7 @@ struct FarBlock {
 pub struct FastOpStats {
     /// Kernel-cache hits during assembly.
     pub kernel_hits: u64,
-    /// Kernel-cache misses (distinct quadratures actually evaluated).
+    /// Kernel-cache misses (distinct kernels actually evaluated).
     pub kernel_misses: u64,
     /// Largest ACA rank over all flat far blocks.
     pub max_rank: usize,
@@ -704,6 +630,18 @@ pub struct FastZOperator {
     far: Vec<FarBlock>,
     h2: Option<h2::H2Field>,
     stats: FastOpStats,
+    scratch: Mutex<ApplyScratch>,
+}
+
+/// Matvec buffers of [`FastZOperator`]'s `apply`: the [`APPLY_SHARDS`]
+/// partial sums, the H² contribution and the H² coefficient buffers.
+/// Sized on the first apply and reused by every later one, so the matvecs
+/// of a GMRES solve do not allocate.
+#[derive(Default)]
+struct ApplyScratch {
+    shards: Vec<Vec<Complex>>,
+    h2_out: Vec<Complex>,
+    h2: h2::H2Scratch,
 }
 
 impl FastZOperator {
@@ -851,6 +789,7 @@ impl FastZOperator {
             far,
             h2: h2_field,
             stats,
+            scratch: Mutex::new(ApplyScratch::default()),
         }
     }
 
@@ -1083,8 +1022,17 @@ impl LinearOperator<Complex> for FastZOperator {
     /// element in fixed shard order — identical bits for 1 or N threads.
     fn apply(&self, x: &[Complex], y: &mut [Complex]) {
         let threads = thread_count();
-        let ws: Vec<Vec<Complex>> = par_map(APPLY_SHARDS, |s| {
-            let mut w = vec![Complex::ZERO; self.n];
+        // One matvec at a time per operator; a poisoned lock only means a
+        // panicked apply, and every buffer is overwritten before use.
+        let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        let ApplyScratch { shards, h2_out, h2 } = &mut *scratch;
+        shards.resize_with(APPLY_SHARDS, Vec::new);
+        let shard_ptr = SendPtr::new(shards.as_mut_ptr());
+        par_for_threads(threads, APPLY_SHARDS, |s| {
+            // SAFETY: task `s` exclusively owns `shards[s]`.
+            let w = unsafe { &mut *shard_ptr.get().add(s) };
+            w.clear();
+            w.resize(self.n, Complex::ZERO);
             for (bi, blk) in self.near.iter().enumerate() {
                 if bi % APPLY_SHARDS != s {
                     continue;
@@ -1130,13 +1078,14 @@ impl LinearOperator<Complex> for FastZOperator {
                     }
                 }
             }
-            w
         });
-        let wh2: Option<Vec<Complex>> = self.h2.as_ref().map(|h2| {
-            let mut w = vec![Complex::ZERO; self.n];
-            h2.apply(&self.tree, x, &mut w);
-            w
+        let wh2 = self.h2.as_ref().map(|field| {
+            h2_out.clear();
+            h2_out.resize(self.n, Complex::ZERO);
+            field.apply(&self.tree, x, h2_out, h2, threads);
+            &*h2_out
         });
+        let ws: &[Vec<Complex>] = shards;
         // Elementwise reduce + combine over disjoint index ranges; the
         // per-element sum runs shard 0, 1, …, then H² — a fixed order.
         let chunk = self.n.div_ceil(APPLY_SHARDS).max(1);
@@ -1146,10 +1095,10 @@ impl LinearOperator<Complex> for FastZOperator {
             let end = (base + chunk).min(self.n);
             for i in base..end {
                 let mut wi = Complex::ZERO;
-                for w in &ws {
+                for w in ws {
                     wi += w[i];
                 }
-                if let Some(wh) = &wh2 {
+                if let Some(wh) = wh2 {
                     wi += wh[i];
                 }
                 let v =
@@ -1433,8 +1382,8 @@ mod tests {
 
     #[test]
     fn fill_block_matches_scalar_entries_bitwise() {
-        // The batched block fill must reproduce the scalar entry loop to
-        // the bit — values, hit/miss accounting and all.
+        // The block fill must reproduce the scalar entry loop to the bit —
+        // values, hit/miss accounting and all.
         let (fils, _) = two_bundles(12.0);
         let rows: Vec<usize> = (0..24).collect();
         let cols: Vec<usize> = (12..60).collect(); // overlaps rows → self terms
@@ -1445,14 +1394,14 @@ mod tests {
                 reference[a * cols.len() + b] = scalar.entry(&fils, i, j);
             }
         }
-        let batched = KernelCache::new(1000.0);
+        let blocked = KernelCache::new(1000.0);
         let mut block = vec![0.0; rows.len() * cols.len()];
-        batched.fill_block(&fils, &rows, &cols, &mut block);
+        blocked.fill_block(&fils, &rows, &cols, &mut block);
         for (o, (b, r)) in block.iter().zip(&reference).enumerate() {
             assert_eq!(b.to_bits(), r.to_bits(), "entry {o}: {b} vs {r}");
         }
-        assert_eq!(batched.stats(), scalar.stats(), "hit/miss accounting");
-        assert_eq!(batched.distinct(), scalar.distinct());
+        assert_eq!(blocked.stats(), scalar.stats(), "hit/miss accounting");
+        assert_eq!(blocked.distinct(), scalar.distinct());
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! dimension), which guarantees **every** filament pair in the block takes
 //! the far GMD branch of [`crate::gmd::cross_section_is_far`]. The kernel
 //! over such a block is exactly the aligned-filament formula at the center
-//! distance — a smooth, quadrature-free function the sampling can evaluate
-//! millions of times for the price of a few near-field table entries.
+//! distance — a smooth, cheap function the sampling can evaluate millions
+//! of times.
 //! Admissible pairs that fail the all-far test stay on the flat ACA path.
 //!
 //! Observability: every accepted basis pushes its rank to the `h2.rank`
@@ -41,7 +41,8 @@
 use crate::fastop::ClusterTree;
 use crate::partial::mutual_filaments_aligned_m;
 use rlcx_geom::units::um_to_m;
-use rlcx_numeric::{obs, par_map, Complex};
+use rlcx_numeric::pool::SendPtr;
+use rlcx_numeric::{obs, par_for_threads, par_map, Complex};
 
 /// Tuning knobs of the H² build, derived from
 /// [`crate::fastop::FastOpOptions`].
@@ -92,6 +93,12 @@ pub(crate) struct H2Field {
     /// coupling order. `transposed` means the node is the `b` side and
     /// receives `Sᵀ` contributions.
     incident: Vec<Vec<(usize, bool)>>,
+    /// Every basis-bearing node, level by level (`levels` flattened).
+    nodes: Vec<usize>,
+    /// Start of each node's slice in the per-apply coefficient buffers.
+    offsets: Vec<usize>,
+    /// Total coefficient count: the sum of all basis ranks.
+    coeffs: usize,
     /// Largest basis rank over all clusters.
     pub(crate) max_rank: usize,
     /// Total `f64`s stored (bases + transfers + couplings).
@@ -113,21 +120,38 @@ impl H2Field {
     /// only reads one level away), and the coupling multiply is gathered
     /// per receiving node over its fixed-order incident list, so every
     /// coefficient sees the same additions in the same order as a serial
-    /// sweep over the couplings.
-    pub(crate) fn apply(&self, tree: &ClusterTree, x: &[Complex], w: &mut [Complex]) {
-        let n_nodes = self.bases.len();
+    /// sweep over the couplings. Every node owns one slice of the
+    /// coefficient buffers in `scratch`, which are sized on first use and
+    /// reused, so a warm apply does not allocate.
+    pub(crate) fn apply(
+        &self,
+        tree: &ClusterTree,
+        x: &[Complex],
+        w: &mut [Complex],
+        scratch: &mut H2Scratch,
+        threads: usize,
+    ) {
+        let H2Scratch { up, down } = scratch;
+        up.clear();
+        up.resize(self.coeffs, Complex::ZERO);
+        down.clear();
+        down.resize(self.coeffs, Complex::ZERO);
+        let basis = |c: usize| self.bases[c].as_ref().expect("level node basis");
+        let rank_of = |c: usize| self.bases[c].as_ref().map_or(0, |b| b.rank);
         // Upward: children before parents — deepest level first. A level's
-        // nodes read only their children's coefficients (one level deeper,
-        // already final), so the level is an independent parallel map with
-        // a serial scatter.
-        let mut up: Vec<Vec<Complex>> = vec![Vec::new(); n_nodes];
+        // nodes write only their own coefficients and read their
+        // children's (one level deeper, already final).
+        let up_ptr = SendPtr::new(up.as_mut_ptr());
         for nodes in self.levels.iter().rev() {
-            let computed: Vec<Vec<Complex>> = par_map(nodes.len(), |ni| {
+            par_for_threads(threads, nodes.len(), |ni| {
                 let c = nodes[ni];
-                let basis = self.bases[c].as_ref().expect("level node basis");
-                let rank = basis.rank;
-                let mut xh = vec![Complex::ZERO; rank];
-                match &basis.kind {
+                let b = basis(c);
+                let rank = b.rank;
+                // SAFETY: node `c` exclusively owns `up[offsets[c]..][..rank]`
+                // within this level; its children's slices are disjoint
+                // from it and no task of this level writes them.
+                let xh = unsafe { coeffs_mut(&up_ptr, self.offsets[c], rank) };
+                match &b.kind {
                     BasisKind::Leaf { u } => {
                         for (r, &i) in tree.indices(c).iter().enumerate() {
                             let xi = x[i];
@@ -139,7 +163,10 @@ impl H2Field {
                     BasisKind::Interior { e1, e2 } => {
                         let (c1, c2) = tree.children(c).expect("interior basis on leaf");
                         for (child, e) in [(c1, e1), (c2, e2)] {
-                            for (r, &xr) in up[child].iter().enumerate() {
+                            // SAFETY: as above — read-only, final, disjoint.
+                            let uc =
+                                unsafe { coeffs_mut(&up_ptr, self.offsets[child], rank_of(child)) };
+                            for (r, &xr) in uc.iter().enumerate() {
                                 for (k, xk) in xh.iter_mut().enumerate() {
                                     *xk += xr * e[r * rank + k];
                                 }
@@ -147,108 +174,104 @@ impl H2Field {
                         }
                     }
                 }
-                xh
             });
-            for (&c, xh) in nodes.iter().zip(computed) {
-                up[c] = xh;
-            }
         }
         // Couplings: yh_a += S·xh_b and yh_b += Sᵀ·xh_a, gathered on the
         // receiving side — each node folds its incident list into its own
-        // coefficient vector, so concurrent tasks never share an output.
-        let all: Vec<usize> = self.levels.iter().flatten().copied().collect();
-        let mut down: Vec<Vec<Complex>> = vec![Vec::new(); n_nodes];
-        let gathered: Vec<Vec<Complex>> = par_map(all.len(), |ni| {
-            let c = all[ni];
-            let rank = self.bases[c].as_ref().expect("gather node basis").rank;
-            let mut yh = vec![Complex::ZERO; rank];
+        // coefficient slice, so concurrent tasks never share an output.
+        let up: &[Complex] = up;
+        let coeffs = |c: usize| &up[self.offsets[c]..self.offsets[c] + rank_of(c)];
+        let down_ptr = SendPtr::new(down.as_mut_ptr());
+        par_for_threads(threads, self.nodes.len(), |ni| {
+            let c = self.nodes[ni];
+            let rank = basis(c).rank;
+            // SAFETY: node `c` exclusively owns its `down` slice.
+            let yh = unsafe { coeffs_mut(&down_ptr, self.offsets[c], rank) };
             for &(idx, transposed) in &self.incident[c] {
                 let cp = &self.couplings[idx];
                 if !transposed {
-                    let rb = self.bases[cp.b].as_ref().expect("coupling basis b").rank;
+                    let rb = rank_of(cp.b);
                     for (i, yi) in yh.iter_mut().enumerate() {
                         let mut acc = Complex::ZERO;
-                        for (&ub, &sij) in up[cp.b].iter().zip(&cp.s[i * rb..(i + 1) * rb]) {
+                        for (&ub, &sij) in coeffs(cp.b).iter().zip(&cp.s[i * rb..(i + 1) * rb]) {
                             acc += ub * sij;
                         }
                         *yi += acc;
                     }
                 } else {
-                    for (i, &xa) in up[cp.a].iter().enumerate() {
+                    for (i, &xa) in coeffs(cp.a).iter().enumerate() {
                         for (j, yj) in yh.iter_mut().enumerate() {
                             *yj += xa * cp.s[i * rank + j];
                         }
                     }
                 }
             }
-            yh
         });
-        for (&c, yh) in all.iter().zip(gathered) {
-            down[c] = yh;
-        }
         // Downward: parents before children — top level first. Each node
-        // prolongates its (now final) coefficients into per-child deltas or
-        // leaf contributions; the serial scatter applies them in node order.
-        enum Prolonged {
-            Leaf(Vec<Complex>),
-            Interior(usize, usize, Vec<Complex>, Vec<Complex>),
-        }
+        // prolongates its (now final) coefficients into its children's
+        // slices or its leaf filaments; both targets belong to that node
+        // alone, so each receives exactly one addition.
+        let w_ptr = SendPtr::new(w.as_mut_ptr());
         for nodes in &self.levels {
-            let parts: Vec<Prolonged> = par_map(nodes.len(), |ni| {
+            par_for_threads(threads, nodes.len(), |ni| {
                 let c = nodes[ni];
-                let basis = self.bases[c].as_ref().expect("level node basis");
-                let rank = basis.rank;
-                let yh = &down[c];
-                match &basis.kind {
+                let b = basis(c);
+                let rank = b.rank;
+                // SAFETY: read-only view of this node's final slice; the
+                // level's tasks write only slices one level deeper.
+                let yh = unsafe { coeffs_mut(&down_ptr, self.offsets[c], rank) };
+                match &b.kind {
                     BasisKind::Leaf { u } => {
-                        let rows = tree.indices(c).len();
-                        let mut ws = Vec::with_capacity(rows);
-                        for r in 0..rows {
+                        for (r, &i) in tree.indices(c).iter().enumerate() {
                             let mut acc = Complex::ZERO;
                             for (k, &yk) in yh.iter().enumerate() {
                                 acc += yk * u[r * rank + k];
                             }
-                            ws.push(acc);
+                            // SAFETY: leaf clusters partition the
+                            // filaments, so `w[i]` is this task's alone.
+                            unsafe { *w_ptr.get().add(i) += acc };
                         }
-                        Prolonged::Leaf(ws)
                     }
                     BasisKind::Interior { e1, e2 } => {
                         let (c1, c2) = tree.children(c).expect("interior basis on leaf");
-                        let prolong = |e: &[f64], child: usize| -> Vec<Complex> {
-                            let rc = self.bases[child].as_ref().expect("child basis").rank;
-                            (0..rc)
-                                .map(|r| {
-                                    let mut acc = Complex::ZERO;
-                                    for (k, &yk) in yh.iter().enumerate() {
-                                        acc += yk * e[r * rank + k];
-                                    }
-                                    acc
-                                })
-                                .collect()
-                        };
-                        Prolonged::Interior(c1, c2, prolong(e1, c1), prolong(e2, c2))
+                        for (child, e) in [(c1, e1), (c2, e2)] {
+                            // SAFETY: only the parent `c` writes a child's
+                            // slice, and it is disjoint from `yh`.
+                            let dc = unsafe {
+                                coeffs_mut(&down_ptr, self.offsets[child], rank_of(child))
+                            };
+                            for (r, d) in dc.iter_mut().enumerate() {
+                                let mut acc = Complex::ZERO;
+                                for (k, &yk) in yh.iter().enumerate() {
+                                    acc += yk * e[r * rank + k];
+                                }
+                                *d += acc;
+                            }
+                        }
                     }
                 }
             });
-            for (&c, part) in nodes.iter().zip(parts) {
-                match part {
-                    Prolonged::Leaf(ws) => {
-                        for (r, &i) in tree.indices(c).iter().enumerate() {
-                            w[i] += ws[r];
-                        }
-                    }
-                    Prolonged::Interior(c1, c2, d1, d2) => {
-                        for (r, v) in d1.into_iter().enumerate() {
-                            down[c1][r] += v;
-                        }
-                        for (r, v) in d2.into_iter().enumerate() {
-                            down[c2][r] += v;
-                        }
-                    }
-                }
-            }
         }
     }
+}
+
+/// Reusable coefficient buffers of [`H2Field::apply`]: the upward and
+/// downward per-node coefficients, one slice per basis-bearing node.
+#[derive(Default)]
+pub(crate) struct H2Scratch {
+    up: Vec<Complex>,
+    down: Vec<Complex>,
+}
+
+/// The `len` coefficients at `off` of the buffer behind `ptr`.
+///
+/// # Safety
+///
+/// The range must lie inside the buffer, and no other live reference may
+/// write it while the returned slice is used.
+#[allow(clippy::mut_from_ref)]
+unsafe fn coeffs_mut(ptr: &SendPtr<Complex>, off: usize, len: usize) -> &mut [Complex] {
+    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(off), len) }
 }
 
 /// Builds the H² far field for the admissible `pairs` of `tree`.
@@ -399,11 +422,21 @@ pub(crate) fn build(
         incident[cp.b].push((idx, true));
     }
 
+    let mut offsets = vec![0usize; n_nodes];
+    let mut coeffs = 0usize;
+    for (off, basis) in offsets.iter_mut().zip(&bases) {
+        *off = coeffs;
+        coeffs += basis.as_ref().map_or(0, |b| b.rank);
+    }
+    let nodes = levels.iter().flatten().copied().collect();
     H2Field {
         bases,
         couplings,
         levels,
         incident,
+        nodes,
+        offsets,
+        coeffs,
         max_rank,
         mem_f64,
     }

@@ -8,14 +8,14 @@
 //! * [`partial`] — closed-form partial self/mutual inductance of rectangular
 //!   bars (Neumann integral with geometric-mean-distance cross-sections) and
 //!   DC resistance,
-//! * [`gmd`] — numerical geometric mean distances via Gauss–Legendre
-//!   quadrature,
+//! * [`gmd`] — geometric mean distances of rectangular cross-sections via
+//!   the exact Grover / Hoer–Love closed form,
 //! * [`mesh`] — volume-filament decomposition for skin/proximity effect at
 //!   the significant frequency `0.32/t_r`,
 //! * [`solver`] — [`PartialSystem`]: conductor-level `R(ω)`/`L(ω)` from the
 //!   filament-level complex impedance solve,
 //! * [`fastop`] — the matrix-free fast path behind [`SolverBackend`]:
-//!   batched translation-invariance kernel caching, cluster-tree near/far
+//!   translation-invariance kernel caching, cluster-tree near/far
 //!   splitting with an H² nested-basis far field (flat ACA for blocks not
 //!   strictly beyond the GMD far threshold), and a block-diagonal
 //!   preconditioner for the `rlcx_numeric::gmres` Krylov solve,

@@ -11,13 +11,17 @@
 //! * **Foundation 2** — the mutual Lp of two traces depends only on the two
 //!   traces (lengths, widths, thicknesses and spacing).
 //!
+//! Mutual terms of parallel bars are the exact Neumann filament formula at
+//! the cross-section GMD, which [`crate::gmd`] evaluates in closed form
+//! for near pairs; the dense (absolute-coordinate) and kernel-cache
+//! (relative-coordinate) entry points share that one evaluation.
+//!
 //! All functions here take geometry in **microns** (consistent with
 //! `rlcx-geom`) and return SI henries/ohms.
 
 use crate::gmd::{bar_gmd, relative_gmd_with, self_gmd};
 use rlcx_geom::units::{um_to_m, MU_0};
 use rlcx_geom::Bar;
-use rlcx_numeric::quadrature::gauss_legendre_cached;
 
 /// Neumann antiderivative `G(z) = z·asinh(z/d) − √(z² + d²)` used by the
 /// parallel-filament mutual-inductance closed form.
@@ -133,9 +137,9 @@ pub fn mutual_partial(a: &Bar, b: &Bar) -> f64 {
 /// Mirrors [`mutual_partial`] for the uniform-filament-mesh case (every
 /// filament of a meshed system shares the axial span), but is a pure
 /// function of the relative placement, so the fast-operator kernel cache
-/// can memoize it by `(w1, t1, w2, t2, dt, dz)`. Values agree with
-/// [`mutual_partial`] to quadrature round-off (~1e-14 relative); the dense
-/// path keeps the absolute-coordinate route for bit-stability.
+/// can memoize it by `(w1, t1, w2, t2, dt, dz)`. Both routes evaluate the
+/// same closed-form GMD ([`crate::gmd::mutual_gmd`]) and agree with
+/// [`mutual_partial`] to round-off (~1e-14 relative).
 ///
 /// `far` is the near/far GMD branch, which the caller must take from
 /// [`crate::gmd::cross_section_is_far`] on the actual bars: regular meshes
@@ -163,169 +167,6 @@ pub fn mutual_partial_relative(
         relative_gmd_with(w1, t1, w2, t2, dt, dz, far)
     };
     mutual_filaments_aligned_m(um_to_m(length_um), um_to_m(d_um))
-}
-
-/// Relative placement of one aligned, equal-length parallel filament pair —
-/// the unit of work of [`mutual_partial_batch`]. Fields mirror the scalar
-/// [`mutual_partial_relative`] arguments: cross-sections `w1 × t1` and
-/// `w2 × t2`, rectangle 2 offset by `(dt, dz)`, and the near/far GMD branch
-/// decided by the caller from [`crate::gmd::cross_section_is_far`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairGeom {
-    /// Width of cross-section 1 (µm).
-    pub w1: f64,
-    /// Thickness of cross-section 1 (µm).
-    pub t1: f64,
-    /// Width of cross-section 2 (µm).
-    pub w2: f64,
-    /// Thickness of cross-section 2 (µm).
-    pub t2: f64,
-    /// Transverse offset of rectangle 2's anchor corner (µm).
-    pub dt: f64,
-    /// Vertical offset of rectangle 2's anchor corner (µm).
-    pub dz: f64,
-    /// Near/far GMD branch, from [`crate::gmd::cross_section_is_far`].
-    pub far: bool,
-}
-
-/// Gauss–Legendre order of the near-branch GMD quadrature — must match the
-/// order [`crate::gmd::relative_gmd_with`] uses so the batched path stays
-/// bit-identical to the scalar one.
-const GMD_GL_ORDER: usize = 8;
-
-/// Pairs evaluated together per SoA block of the batched quadrature: wide
-/// enough to fill a cache line of lanes, small enough that the per-block
-/// node tables stay in L1.
-const GMD_LANES: usize = 8;
-
-/// Batched [`mutual_partial_relative`]: evaluates the partial mutual
-/// inductance (H) of every pair in `pairs` into `out`.
-///
-/// The hot path — the 8⁴-point near-branch GMD quadrature — is evaluated
-/// over contiguous SoA lanes of up to [`GMD_LANES`] pairs at once: the
-/// Gauss–Legendre nodes are mapped into each pair's rectangles once per
-/// block (instead of once per 4-D loop visit), the weight partial products
-/// are hoisted per loop level, and the innermost loop runs across *pairs*,
-/// which keeps every pair's accumulation in the exact scalar summation
-/// order while letting the compiler vectorize the lane arithmetic.
-///
-/// Results are **bit-identical** to calling [`mutual_partial_relative`] per
-/// pair: same node formula, same `r² < 1e-30` guard, same product
-/// association, same term order (asserted by the seeded property suite in
-/// `tests/peec_batch_kernel.rs`). Far and collinear branches never touch
-/// the quadrature at all.
-///
-/// # Panics
-///
-/// Panics if `out.len() != pairs.len()`.
-pub fn mutual_partial_batch(length_um: f64, pairs: &[PairGeom], out: &mut [f64]) {
-    assert_eq!(
-        pairs.len(),
-        out.len(),
-        "mutual_partial_batch output length must match pair count"
-    );
-    // Branch resolution: collinear and far lanes get their GMD directly;
-    // near lanes are queued for the blocked quadrature.
-    let mut near: Vec<usize> = Vec::new();
-    for (p, g) in pairs.iter().enumerate() {
-        let scale = g.w1.max(g.t1).max(g.w2).max(g.t2);
-        let cx = g.dt + 0.5 * (g.w2 - g.w1);
-        let cz = g.dz + 0.5 * (g.t2 - g.t1);
-        let center = cx.hypot(cz);
-        if center < 1e-9 * scale.max(1.0) {
-            out[p] = self_gmd(0.5 * (g.w1 + g.w2), 0.5 * (g.t1 + g.t2));
-        } else if g.far {
-            out[p] = center;
-        } else {
-            near.push(p);
-        }
-    }
-    gmd_batch_near(pairs, &near, out);
-    let l_m = um_to_m(length_um);
-    for d_um in out.iter_mut() {
-        *d_um = mutual_filaments_aligned_m(l_m, um_to_m(*d_um));
-    }
-}
-
-/// The blocked near-branch GMD quadrature behind [`mutual_partial_batch`]:
-/// fills `out[p]` with the GMD (µm) for every pair index in `near`.
-fn gmd_batch_near(pairs: &[PairGeom], near: &[usize], out: &mut [f64]) {
-    if near.is_empty() {
-        return;
-    }
-    let (xs, ws) = gauss_legendre_cached(GMD_GL_ORDER);
-    for chunk in near.chunks(GMD_LANES) {
-        // Node-major SoA lanes: `x1[i * GMD_LANES + p]` is node `i` of pair
-        // lane `p`, so the innermost pair loop reads contiguous memory.
-        // Unused lanes of a partial block stay zero: their `r²` is zero,
-        // the singularity guard maps it to `0.0`, and the lane accumulates
-        // nothing.
-        let mut x1 = [0.0f64; GMD_GL_ORDER * GMD_LANES];
-        let mut y1 = [0.0f64; GMD_GL_ORDER * GMD_LANES];
-        let mut x2 = [0.0f64; GMD_GL_ORDER * GMD_LANES];
-        let mut y2 = [0.0f64; GMD_GL_ORDER * GMD_LANES];
-        let mut jx1 = [0.0f64; GMD_LANES];
-        let mut jy1 = [0.0f64; GMD_LANES];
-        let mut jx2 = [0.0f64; GMD_LANES];
-        let mut jy2 = [0.0f64; GMD_LANES];
-        // Same node map as `integrate_4d`: x = 0.5(a+b) + 0.5(b−a)t.
-        let node = |(a, b): (f64, f64), t: f64| 0.5 * (a + b) + 0.5 * (b - a) * t;
-        let jac = |(a, b): (f64, f64)| 0.5 * (b - a);
-        for (p, &pi) in chunk.iter().enumerate() {
-            let g = &pairs[pi];
-            let (r1x, r1y) = ((0.0, g.w1), (0.0, g.t1));
-            let (r2x, r2y) = ((g.dt, g.dt + g.w2), (g.dz, g.dz + g.t2));
-            for (i, &t) in xs.iter().enumerate() {
-                x1[i * GMD_LANES + p] = node(r1x, t);
-                y1[i * GMD_LANES + p] = node(r1y, t);
-                x2[i * GMD_LANES + p] = node(r2x, t);
-                y2[i * GMD_LANES + p] = node(r2y, t);
-            }
-            jx1[p] = jac(r1x);
-            jy1[p] = jac(r1y);
-            jx2[p] = jac(r2x);
-            jy2[p] = jac(r2y);
-        }
-        let mut acc = [0.0f64; GMD_LANES];
-        for i in 0..GMD_GL_ORDER {
-            let x1i: [f64; GMD_LANES] = x1[i * GMD_LANES..(i + 1) * GMD_LANES]
-                .try_into()
-                .expect("lane slice");
-            for j in 0..GMD_GL_ORDER {
-                let y1j: [f64; GMD_LANES] = y1[j * GMD_LANES..(j + 1) * GMD_LANES]
-                    .try_into()
-                    .expect("lane slice");
-                let wij = ws[i] * ws[j];
-                for k in 0..GMD_GL_ORDER {
-                    let x2k: [f64; GMD_LANES] = x2[k * GMD_LANES..(k + 1) * GMD_LANES]
-                        .try_into()
-                        .expect("lane slice");
-                    let wijk = wij * ws[k];
-                    for l in 0..GMD_GL_ORDER {
-                        let y2l: [f64; GMD_LANES] = y2[l * GMD_LANES..(l + 1) * GMD_LANES]
-                            .try_into()
-                            .expect("lane slice");
-                        let wijkl = wijk * ws[l];
-                        for p in 0..GMD_LANES {
-                            let du = x1i[p] - x2k[p];
-                            let dv = y1j[p] - y2l[p];
-                            let r2 = du * du + dv * dv;
-                            // Same guard and integrand as `mutual_gmd`.
-                            let f = if r2 < 1e-30 { 0.0 } else { 0.5 * r2.ln() };
-                            // Same left-to-right product association as the
-                            // scalar `integrate_4d` accumulation.
-                            acc[p] += (((wijkl * jx1[p]) * jy1[p]) * jx2[p]) * jy2[p] * f;
-                        }
-                    }
-                }
-            }
-        }
-        for (p, &pi) in chunk.iter().enumerate() {
-            let g = &pairs[pi];
-            let area = g.w1 * g.t1 * g.w2 * g.t2;
-            out[pi] = (acc[p] / area).exp();
-        }
-    }
 }
 
 /// Volume-overlap test with a relative tolerance: filament tilings touch at
@@ -506,7 +347,7 @@ mod tests {
     #[test]
     fn relative_mutual_matches_absolute_mutual() {
         // Aligned equal-length pairs through both entry points agree to
-        // quadrature round-off across near (integrated GMD), collinear
+        // round-off across near (closed-form GMD), collinear
         // (self-GMD) and far (center-distance) branches.
         let cases = [
             (6.0, 0.0),  // near: 1 µm gap, coplanar

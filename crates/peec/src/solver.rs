@@ -102,7 +102,7 @@ impl PartialSystem {
     /// DC partial-inductance matrix (H): `Lp[i][i]` from the self formula,
     /// `Lp[i][j]` from the mutual formula (zero for orthogonal pairs).
     ///
-    /// Each upper-triangle entry is an independent GMD quadrature, so the
+    /// Each upper-triangle entry is an independent kernel evaluation, so the
     /// rows are assembled on [`thread_count`] scoped threads; the result is
     /// bit-identical to the serial loop (see
     /// [`PartialSystem::lp_matrix_with_threads`]).
@@ -429,7 +429,7 @@ impl PartialSystem {
 /// `threads` scoped threads.
 ///
 /// The upper-triangle rows are independent pure computations (each entry is
-/// one GMD quadrature), so the fill is sharded with the same balanced,
+/// one closed-form kernel), so the fill is sharded with the same balanced,
 /// deterministic row interleaving as [`PartialSystem::lp_matrix_with_threads`]
 /// — the matrix is bit-identical for every thread count.
 fn filament_z_matrix(fils: &[Bar], rhos: &[f64], omega: f64, threads: usize) -> CMatrix {

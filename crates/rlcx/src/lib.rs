@@ -5,7 +5,7 @@
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|
-//! | [`numeric`] | `rlcx-numeric` | dense linear algebra, splines, quadrature |
+//! | [`numeric`] | `rlcx-numeric` | dense linear algebra, splines, Krylov, MOR |
 //! | [`geom`] | `rlcx-geom` | conductors, stackups, blocks, trees, H-trees |
 //! | [`peec`] | `rlcx-peec` | PEEC field solver (RI3/FastHenry substitute) |
 //! | [`cap`] | `rlcx-cap` | capacitance/resistance models, process variation |

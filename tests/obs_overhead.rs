@@ -395,6 +395,64 @@ fn warm_block_preconditioner_apply_does_not_allocate() {
     assert!(y.iter().all(|v| v.is_finite()));
 }
 
+/// `FastZOperator::apply` — the matvec behind every GMRES iteration of the
+/// iterative PEEC backend. Its shard partial sums, H² output and H²
+/// coefficient buffers are sized on the first apply and reused, so a warm
+/// apply with near, flat-ACA and H² parts performs no heap allocation.
+/// One thread: a multi-threaded dispatch allocates the pool's job record.
+#[test]
+fn warm_fast_operator_apply_does_not_allocate() {
+    use rlcx::geom::{Axis, Bar, Point3};
+    use rlcx::numeric::{with_thread_count, Complex, LinearOperator};
+    use rlcx::peec::fastop::{FastOpOptions, FastZOperator, KernelCache};
+
+    let _guard = level_lock();
+    obs::set_trace_level(TraceLevel::Off);
+
+    // Four 6×6 bundles in a row: near blocks inside each bundle, flat ACA
+    // between neighbours, H² couplings between the distant ones.
+    let fils: Vec<Bar> = [0.0, 30.0, 60.0, 90.0]
+        .iter()
+        .flat_map(|&base| {
+            (0..36).map(move |k| {
+                let (i, j) = (k / 6, k % 6);
+                Bar::new(
+                    Point3::new(0.0, base + i as f64, 10.0 + j as f64),
+                    Axis::X,
+                    1000.0,
+                    0.9,
+                    0.9,
+                )
+                .unwrap()
+            })
+        })
+        .collect();
+    let rhos = vec![rlcx::geom::units::RHO_COPPER; fils.len()];
+    let omega = 2.0 * std::f64::consts::PI * 3.2e9;
+    let kernel = KernelCache::new(1000.0);
+    let op = FastZOperator::new(&fils, &rhos, omega, &kernel, &FastOpOptions::default());
+    assert!(op.stats().h2_couplings > 0 && op.stats().near_blocks > 0);
+    let x: Vec<Complex> = (0..fils.len())
+        .map(|i| Complex::new((i as f64 * 0.53).cos(), (i as f64 * 0.29).sin()))
+        .collect();
+    let mut y = vec![Complex::ZERO; fils.len()];
+    let mut y_warm = vec![Complex::ZERO; fils.len()];
+
+    let allocs = with_thread_count(1, || {
+        op.apply(&x, &mut y); // warm: sizes the scratch buffers
+        let before = thread_allocations();
+        for _ in 0..20 {
+            op.apply(&x, &mut y_warm);
+        }
+        thread_allocations() - before
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm fast-operator apply must be allocation-free"
+    );
+    assert_eq!(y, y_warm, "reused buffers must not change the result");
+}
+
 /// Enabling tracing does allocate (records are stored) — a sanity check
 /// that the counter itself works, so the zero above is meaningful.
 #[test]
