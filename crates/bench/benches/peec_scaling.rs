@@ -9,7 +9,7 @@
 
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3};
-use rlcx::numeric::parallel::thread_count;
+use rlcx::numeric::parallel::{thread_count, with_thread_count};
 use rlcx::peec::{Conductor, MeshSpec, PartialSystem};
 use rlcx_bench::harness::Bench;
 use std::hint::black_box;
@@ -61,10 +61,10 @@ fn main() {
     // The frequency-dependent path: 16 conductors × (2×2 mesh) = 64
     // filaments. Thread count comes from RLCX_THREADS / the machine.
     let sys = bus(16);
-    std::env::set_var("RLCX_THREADS", "1");
-    let t1 = Bench::new("impedance_64_filaments/serial_1_thread")
-        .run(|| black_box(sys.rl_at(3.2e9, MeshSpec::new(2, 2)).unwrap()));
-    std::env::remove_var("RLCX_THREADS");
+    let t1 = with_thread_count(1, || {
+        Bench::new("impedance_64_filaments/serial_1_thread")
+            .run(|| black_box(sys.rl_at(3.2e9, MeshSpec::new(2, 2)).unwrap()))
+    });
     let tn = Bench::new(format!("impedance_64_filaments/parallel_{threads}_threads"))
         .run(|| black_box(sys.rl_at(3.2e9, MeshSpec::new(2, 2)).unwrap()));
     println!(

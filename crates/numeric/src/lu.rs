@@ -1,8 +1,10 @@
 //! LU factorization with partial pivoting, real and complex.
 //!
-//! The PEEC solver and the MNA transient simulator both reduce to repeated
-//! solves against a fixed factorization, so the decomposition is a first-class
-//! object that can be reused across right-hand sides.
+//! The dense PEEC solve and PRIMA's reduced-model projections reduce to
+//! repeated solves against a fixed factorization, so the decomposition is a
+//! first-class object that can be reused across right-hand sides. (The MNA
+//! circuit simulator factors with [`crate::sparse::SparseLu`]; the dense
+//! factorization is its reference in tests.)
 
 use crate::{CMatrix, Complex, Matrix, NumericError, Result};
 
@@ -81,71 +83,6 @@ impl LuDecomposition {
             }
         }
         Ok(LuDecomposition { lu, perm, sign })
-    }
-
-    /// Re-factorizes `a` in place, reusing this decomposition's storage.
-    ///
-    /// Runs the same partially-pivoted elimination as
-    /// [`LuDecomposition::new`] but without allocating: the factor
-    /// matrix, permutation and sign are overwritten. This is the dense
-    /// analogue of [`crate::sparse::SparseLu::refactor`] and lets a
-    /// transient engine change its companion-model conductances (step
-    /// size) without heap traffic in the step loop.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumericError::DimensionMismatch`] if `a`'s shape differs from
-    ///   the factorized matrix.
-    /// * [`NumericError::Singular`] if a zero pivot column is
-    ///   encountered; the decomposition is left in an unusable state and
-    ///   must be refactored successfully before the next solve.
-    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
-        let n = self.dim();
-        if a.rows() != n || a.cols() != n {
-            return Err(NumericError::DimensionMismatch {
-                expected: format!("{n}x{n} matrix"),
-                found: format!("{}x{}", a.rows(), a.cols()),
-            });
-        }
-        self.lu.as_mut_slice().copy_from_slice(a.as_slice());
-        for (i, p) in self.perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        self.sign = 1.0;
-        let lu = &mut self.lu;
-        for k in 0..n {
-            let mut p = k;
-            let mut max = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > max {
-                    max = v;
-                    p = i;
-                }
-            }
-            if max == 0.0 {
-                return Err(NumericError::Singular { pivot: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                self.perm.swap(k, p);
-                self.sign = -self.sign;
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                for j in (k + 1)..n {
-                    let delta = factor * lu[(k, j)];
-                    lu[(i, j)] -= delta;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Solves `Aᵀ·x = b` into caller-provided buffers; allocation-free.
@@ -561,32 +498,6 @@ mod tests {
         let mut cx = [Complex::ZERO; 2];
         clu.solve_into(&cb, &mut cx).unwrap();
         assert_eq!(cx.to_vec(), clu.solve(&cb).unwrap());
-    }
-
-    #[test]
-    fn refactor_matches_fresh_factorization() {
-        let a =
-            Matrix::from_rows(&[&[2.0, 1.0, 0.5], &[1.0, 3.0, -1.0], &[0.0, -1.0, 4.0]]).unwrap();
-        let mut lu = LuDecomposition::new(&a).unwrap();
-        // New values, new pivot order (big off-diagonal forces a swap).
-        let b = Matrix::from_rows(&[&[0.1, 5.0, 0.0], &[7.0, 0.2, 1.0], &[1.0, 1.0, 2.0]]).unwrap();
-        lu.refactor(&b).unwrap();
-        let fresh = LuDecomposition::new(&b).unwrap();
-        let rhs = [1.0, -2.0, 3.0];
-        let xr = lu.solve(&rhs).unwrap();
-        let xf = fresh.solve(&rhs).unwrap();
-        for (r, f) in xr.iter().zip(&xf) {
-            assert!((r - f).abs() < 1e-14);
-        }
-        assert!((lu.determinant() - fresh.determinant()).abs() < 1e-12);
-        // Dimension and singularity checks.
-        assert!(lu.refactor(&Matrix::zeros(2, 2)).is_err());
-        assert!(matches!(
-            LuDecomposition::new(&a)
-                .unwrap()
-                .refactor(&Matrix::zeros(3, 3)),
-            Err(NumericError::Singular { .. })
-        ));
     }
 
     #[test]

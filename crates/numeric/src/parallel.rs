@@ -25,13 +25,18 @@
 //! [`thread_count`] honours, in order: a thread-local override installed
 //! by [`with_thread_count`] (determinism tests and benchmark sweeps), the
 //! `RLCX_THREADS` environment variable when it parses to a positive
-//! integer, and [`std::thread::available_parallelism`]. Callers that need
-//! explicit control use [`par_map_threads`].
+//! integer, and [`std::thread::available_parallelism`]. The last two are
+//! resolved once per process, at the first call, so the per-dispatch
+//! lookup neither allocates nor re-reads the environment; changing
+//! `RLCX_THREADS` after that has no effect — pin counts in-process with
+//! [`with_thread_count`]. Callers that need explicit control use
+//! [`par_map_threads`].
 
 use crate::obs;
 use crate::pool::{self, SendPtr};
 use crate::timing::Timings;
 use std::cell::Cell;
+use std::sync::OnceLock;
 use std::thread;
 
 thread_local! {
@@ -65,21 +70,23 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// 2. `RLCX_THREADS` environment variable, if set to a positive integer;
 /// 3. [`std::thread::available_parallelism`];
 /// 4. `1` if none of the above are available.
+///
+/// Steps 2–4 are evaluated once per process (see the module docs); after
+/// that the call is allocation-free.
 pub fn thread_count() -> usize {
+    static PROCESS_DEFAULT: OnceLock<usize> = OnceLock::new();
     let overridden = THREAD_OVERRIDE.with(Cell::get);
     if overridden >= 1 {
         return overridden;
     }
-    if let Ok(v) = std::env::var("RLCX_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *PROCESS_DEFAULT.get_or_init(|| {
+        std::env::var("RLCX_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .or_else(|| thread::available_parallelism().ok().map(|n| n.get()))
+            .unwrap_or(1)
+    })
 }
 
 /// Interleaves index `k` of `n` so contiguous shards get balanced work when

@@ -72,7 +72,8 @@ impl<T: Scalar> SparseLu<T> {
     /// # Errors
     ///
     /// * [`NumericError::DimensionMismatch`] if `a` is not square.
-    /// * [`NumericError::Singular`] if a column has no usable pivot.
+    /// * [`NumericError::Singular`] if a column has no usable pivot;
+    ///   `pivot` is that column's original index in `a`.
     pub fn factor(a: &CscMatrix<T>) -> Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(NumericError::DimensionMismatch {
@@ -92,7 +93,8 @@ impl<T: Scalar> SparseLu<T> {
     /// * [`NumericError::DimensionMismatch`] if `a` is not square.
     /// * [`NumericError::InvalidArgument`] if `order` is not a
     ///   permutation of the column indices.
-    /// * [`NumericError::Singular`] if a column has no usable pivot.
+    /// * [`NumericError::Singular`] if a column has no usable pivot;
+    ///   `pivot` is that column's original index in `a`.
     pub fn factor_with_order(a: &CscMatrix<T>, order: &[usize]) -> Result<Self> {
         let n = a.ncols();
         if a.nrows() != n {
@@ -218,7 +220,9 @@ impl<T: Scalar> SparseLu<T> {
                 }
             }
             if piv_mag == 0.0 || !piv_mag.is_finite() {
-                return Err(NumericError::Singular { pivot: k });
+                // Report the original column, not the factored position,
+                // so callers can name the unknown that lost its pivot.
+                return Err(NumericError::Singular { pivot: j });
             }
             if visited[j] == k && lu.pinv[j] == UNSET {
                 let dm = x[j].modulus();
@@ -275,7 +279,7 @@ impl<T: Scalar> SparseLu<T> {
     /// * [`NumericError::DimensionMismatch`] if `a`'s shape or nonzero
     ///   count differs from the factored matrix.
     /// * [`NumericError::Singular`] if the re-pivoted fallback breaks
-    ///   down.
+    ///   down; `pivot` is the failing column's original index in `a`.
     pub fn refactor(&mut self, a: &CscMatrix<T>) -> Result<bool> {
         if a.nrows() != self.n || a.ncols() != self.n || a.nnz() != self.a_nnz {
             return Err(NumericError::DimensionMismatch {
@@ -635,6 +639,43 @@ mod tests {
             SparseLu::factor(&a),
             Err(NumericError::Singular { .. })
         ));
+    }
+
+    #[test]
+    fn singular_pivot_names_the_original_column() {
+        // Column 0 is eliminated last (factored position 2); once
+        // columns 1 and 2 have taken rows 1 and 2, only row 0 is left to
+        // pivot on.
+        let mut tb = TripletBuilder::new(3, 3);
+        tb.add(0, 1, 1.0);
+        tb.add(1, 0, 1.0);
+        tb.add(1, 1, 2.0);
+        tb.add(2, 2, 1.0);
+        tb.add(2, 0, 1.0);
+        let (mut a, map) = tb.build_with_map();
+        let mut lu = SparseLu::factor_with_order(&a, &[1, 2, 0]).unwrap();
+        let x = lu.solve(&[1.0, 2.0, 3.0]).unwrap();
+        let r = a.mul_vec(&x).unwrap();
+        assert!(r
+            .iter()
+            .zip([1.0, 2.0, 3.0])
+            .all(|(ri, bi)| (ri - bi).abs() < 1e-12));
+        // Zeroing (0, 1) empties row 0, so column 0 loses its pivot: the
+        // error must name column 0, not factored position 2.
+        a.zero_values();
+        for (k, v) in [0.0, 1.0, 2.0, 1.0, 1.0].into_iter().enumerate() {
+            a.values_mut()[map[k]] += v;
+        }
+        assert_eq!(
+            lu.refactor(&a).unwrap_err(),
+            NumericError::Singular { pivot: 0 },
+            "re-pivot fallback"
+        );
+        assert_eq!(
+            SparseLu::factor_with_order(&a, &[1, 2, 0]).unwrap_err(),
+            NumericError::Singular { pivot: 0 },
+            "fresh factorization"
+        );
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //! peaking that RC-only netlists cannot have.
 //!
 //! Only the element values change between frequency points, never the
-//! matrix *pattern*. The sparse backend exploits this: the symbolic
+//! matrix *pattern*. The sweep exploits this: the sparse symbolic
 //! factorization (ordering, fill pattern) is computed once at the first
 //! frequency and every later point re-runs only the numeric phase via
 //! [`SparseLu::refactor`], restamping values in place through a slot map.
 
+use crate::diagnose::diagnose_singular;
 use crate::netlist::{Element, Netlist, NodeId};
-use crate::stamp::{stamp_mna, MnaLayout, SolverEngine};
+use crate::stamp::{stamp_mna, MnaLayout};
 use crate::waveform::Waveform;
 use crate::{Result, SpiceError};
-use rlcx_numeric::lu::CLuDecomposition;
 use rlcx_numeric::sparse::{SparseLu, TripletBuilder};
-use rlcx_numeric::{obs, CMatrix, Complex};
+use rlcx_numeric::{obs, Complex};
 
 /// Frequency sweep specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,7 +147,6 @@ impl AcResult {
 pub struct Ac<'a> {
     netlist: &'a Netlist,
     sweep: Sweep,
-    engine: SolverEngine,
 }
 
 impl<'a> Ac<'a> {
@@ -156,7 +155,6 @@ impl<'a> Ac<'a> {
         Ac {
             netlist,
             sweep: Sweep::log(1e6, 1e11, 121),
-            engine: SolverEngine::default(),
         }
     }
 
@@ -167,19 +165,14 @@ impl<'a> Ac<'a> {
         self
     }
 
-    /// Sets the linear-solver backend (default [`SolverEngine::Auto`]).
-    #[must_use]
-    pub fn engine(mut self, engine: SolverEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Runs the sweep.
     ///
     /// # Errors
     ///
     /// * [`SpiceError::BadSimParams`] for a bad sweep or empty circuit,
-    /// * [`SpiceError::Numeric`] if the MNA system is singular.
+    /// * [`SpiceError::SingularMna`] naming the floating node, the
+    ///   ideal-branch loop or the unknown that lost its pivot if the MNA
+    ///   system is singular.
     pub fn run(&self) -> Result<AcResult> {
         self.sweep.validate()?;
         let nl = self.netlist;
@@ -197,11 +190,7 @@ impl<'a> Ac<'a> {
 
         let frequencies = self.sweep.frequencies();
         let mut volts = vec![Vec::with_capacity(frequencies.len()); nl.node_count()];
-        if self.engine.is_sparse(layout.dim) {
-            self.solve_sparse(&layout, &frequencies, &rhs, &mut volts)?;
-        } else {
-            self.solve_dense(&layout, &frequencies, &rhs, &mut volts)?;
-        }
+        self.solve(&layout, &frequencies, &rhs, &mut volts)?;
         let node_names = (0..nl.node_count())
             .map(|i| nl.node_name(NodeId(i)).to_string())
             .collect();
@@ -212,40 +201,13 @@ impl<'a> Ac<'a> {
         })
     }
 
-    /// Dense path: rebuild and factor a full complex matrix per point.
-    /// Fine for the small systems the cutover routes here.
-    fn solve_dense(
-        &self,
-        layout: &MnaLayout,
-        frequencies: &[f64],
-        rhs: &[Complex],
-        volts: &mut [Vec<Complex>],
-    ) -> Result<()> {
-        let nl = self.netlist;
-        let mut x = vec![Complex::ZERO; layout.dim];
-        for &f in frequencies {
-            let jw = Complex::from_imag(2.0 * std::f64::consts::PI * f);
-            let mut a = CMatrix::zeros(layout.dim, layout.dim);
-            stamp_mna(
-                nl,
-                layout,
-                |c| jw * c,
-                |l| jw * l,
-                |m| jw * m,
-                |i, j, v| a[(i, j)] += v,
-            );
-            CLuDecomposition::new(&a)?.solve_into(rhs, &mut x)?;
-            record_point(nl, &x, volts);
-        }
-        Ok(())
-    }
-
-    /// Sparse path: the matrix pattern is fixed across the sweep, so the
-    /// symbolic factorization (ordering + fill) happens exactly once at
-    /// the first frequency. Every later point restamps values in place
-    /// through the slot map from [`TripletBuilder::build_with_map`] and
-    /// re-runs only the numeric phase.
-    fn solve_sparse(
+    /// Solves every frequency point. The matrix pattern is fixed across
+    /// the sweep, so the symbolic factorization (ordering + fill) happens
+    /// exactly once at the first frequency. Every later point restamps
+    /// values in place through the slot map from
+    /// [`TripletBuilder::build_with_map`] and re-runs only the numeric
+    /// phase.
+    fn solve(
         &self,
         layout: &MnaLayout,
         frequencies: &[f64],
@@ -268,7 +230,7 @@ impl<'a> Ac<'a> {
         obs::gauge_set("spice.mna.nnz", a.nnz() as f64);
         let mut lu = {
             let _s = obs::span("spice.mna.factor");
-            SparseLu::factor(&a)?
+            SparseLu::factor(&a).map_err(|e| diagnose_singular(nl, layout, e))?
         };
         let mut x = vec![Complex::ZERO; dim];
         let mut scratch = vec![Complex::ZERO; dim];
@@ -297,7 +259,8 @@ impl<'a> Ac<'a> {
             }
             // Numeric-only refactorization on the frozen pattern; falls
             // back to a fresh pivot search if the diagonal degrades.
-            lu.refactor(&a)?;
+            lu.refactor(&a)
+                .map_err(|e| diagnose_singular(nl, layout, e))?;
             lu.solve_into(rhs, &mut scratch, &mut x)?;
             record_point(nl, &x, volts);
         }
@@ -319,7 +282,7 @@ fn record_point(nl: &Netlist, x: &[Complex], volts: &mut [Vec<Complex>]) {
 /// signal, so in the linearized system it is a short — treating a nonzero
 /// DC level as a unit stimulus (as an earlier revision did) double-counts
 /// the bias as excitation.
-fn source_amplitude(wave: &Waveform) -> f64 {
+pub(crate) fn source_amplitude(wave: &Waveform) -> f64 {
     let (lo, hi) = wave.levels();
     if hi != lo {
         1.0
@@ -461,9 +424,9 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_engines_agree() {
-        use crate::SolverEngine;
         // RLC ladder with a mutual coupling — enough structure to exercise
-        // branch rows, complex stamps and the per-frequency refactor path.
+        // branch rows, complex stamps and the per-frequency refactor path —
+        // against the dense reference.
         let mut nl = Netlist::new();
         let inp = nl.node("in");
         nl.vsource("V", inp, GROUND, Waveform::step(1.0, 1e-12))
@@ -482,19 +445,11 @@ mod tests {
         nl.mutual("K01", coils[0], coils[1], 0.3e-9).unwrap();
         nl.mutual("K23", coils[2], coils[3], 0.2e-9).unwrap();
         let sweep = Sweep::log(1e8, 1e11, 25);
-        let dense = Ac::new(&nl)
-            .sweep(sweep)
-            .engine(SolverEngine::Dense)
-            .run()
-            .unwrap();
-        let sparse = Ac::new(&nl)
-            .sweep(sweep)
-            .engine(SolverEngine::Sparse)
-            .run()
-            .unwrap();
+        let dense = crate::oracle::ac(&nl, sweep);
+        let sparse = Ac::new(&nl).sweep(sweep).run().unwrap();
         for i in 0..12 {
             let node = format!("n{i}");
-            let vd = dense.voltage(&node).unwrap();
+            let vd = &dense[nl.find_node(&node).unwrap().0];
             let vs = sparse.voltage(&node).unwrap();
             for (d, s) in vd.iter().zip(vs) {
                 // Relative to the larger of the signal and the unit drive:
@@ -517,6 +472,14 @@ mod tests {
         assert!(Ac::new(&nl).sweep(Sweep::log(1e8, 1e9, 1)).run().is_err());
         let empty = Netlist::new();
         assert!(Ac::new(&empty).run().is_err());
+        // A singular system is diagnosed as in the transient engine.
+        nl.node("orphan");
+        match Ac::new(&nl).run() {
+            Err(SpiceError::SingularMna { unknown, .. }) => {
+                assert!(unknown.contains("orphan"), "{unknown}")
+            }
+            other => panic!("expected SingularMna, got {other:?}"),
+        }
     }
 
     #[test]

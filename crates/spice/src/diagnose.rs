@@ -14,9 +14,9 @@
 //! [`diagnose_singular`] checks for both and converts a bare
 //! [`NumericError::Singular`] into a [`SpiceError::SingularMna`] naming
 //! the offending node or element. When neither pattern matches, the
-//! failing pivot is translated back to its unknown (dense factorizations
-//! only — the sparse engine reports pivots in factored order, which does
-//! not map back to a specific unknown).
+//! failing pivot is translated back to its unknown: the sparse LU
+//! reports a singular pivot by its original column, which is the MNA
+//! unknown's index.
 
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::stamp::MnaLayout;
@@ -118,20 +118,14 @@ fn unknown_name(nl: &Netlist, layout: &MnaLayout, k: usize) -> String {
 
 /// Upgrades a [`NumericError::Singular`] from an MNA factorization into
 /// a [`SpiceError::SingularMna`] naming the structural culprit when one
-/// can be identified. `dense_pivot` carries the failing elimination
-/// column for dense factorizations, where it maps 1:1 onto an unknown;
-/// sparse callers pass `None`.
+/// can be identified: a floating node, an ideal-branch loop, or else the
+/// unknown whose column had no usable pivot.
 ///
 /// Any other numeric error passes through unchanged.
-pub(crate) fn diagnose_singular(
-    nl: &Netlist,
-    layout: &MnaLayout,
-    err: NumericError,
-    dense_pivot: Option<usize>,
-) -> SpiceError {
-    if !matches!(err, NumericError::Singular { .. }) {
+pub(crate) fn diagnose_singular(nl: &Netlist, layout: &MnaLayout, err: NumericError) -> SpiceError {
+    let NumericError::Singular { pivot } = err else {
         return err.into();
-    }
+    };
     if let Some(node) = find_floating_node(nl) {
         return SpiceError::SingularMna {
             unknown: format!("node '{}'", nl.node_name(node)),
@@ -146,12 +140,9 @@ pub(crate) fn diagnose_singular(
                 .into(),
         };
     }
-    match dense_pivot {
-        Some(k) => SpiceError::SingularMna {
-            unknown: unknown_name(nl, layout, k),
-            reason: "elimination found no usable pivot for this unknown".into(),
-        },
-        None => err.into(),
+    SpiceError::SingularMna {
+        unknown: unknown_name(nl, layout, pivot),
+        reason: "elimination found no usable pivot for this unknown".into(),
     }
 }
 
@@ -169,7 +160,7 @@ mod tests {
         nl.vsource("V", a, GROUND, Waveform::Dc(1.0)).unwrap();
         nl.resistor("R", a, GROUND, 1.0).unwrap();
         let layout = MnaLayout::new(&nl).unwrap();
-        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 1 }, Some(1));
+        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 1 });
         match err {
             SpiceError::SingularMna { unknown, reason } => {
                 assert!(unknown.contains("orphan"), "{unknown}");
@@ -188,7 +179,7 @@ mod tests {
         nl.vsource("V2", a, GROUND, Waveform::Dc(2.0)).unwrap();
         nl.resistor("R", a, GROUND, 1.0).unwrap();
         let layout = MnaLayout::new(&nl).unwrap();
-        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 2 }, None);
+        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 2 });
         match err {
             SpiceError::SingularMna { unknown, reason } => {
                 assert!(unknown.contains("V2"), "{unknown}");
@@ -207,7 +198,7 @@ mod tests {
         nl.vsource("V", a, GROUND, Waveform::Dc(1.0)).unwrap();
         nl.inductor("Lshort", a, GROUND, 0.0).unwrap();
         let layout = MnaLayout::new(&nl).unwrap();
-        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 0 }, None);
+        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 0 });
         match err {
             SpiceError::SingularMna { unknown, .. } => {
                 assert!(unknown.contains("Lshort"), "{unknown}");
@@ -225,29 +216,25 @@ mod tests {
         nl.resistor("R", a, b, 1.0).unwrap();
         nl.capacitor("C", b, GROUND, 1e-12).unwrap();
         let layout = MnaLayout::new(&nl).unwrap();
-        // No structural defect: the dense path names the pivot unknown…
-        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 1 }, Some(1));
+        // No structural defect: the pivot's unknown is named — a node…
+        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 1 });
         match err {
             SpiceError::SingularMna { unknown, .. } => assert!(unknown.contains('b'), "{unknown}"),
             other => panic!("expected SingularMna, got {other:?}"),
         }
-        // …a branch pivot names the element…
-        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 2 }, Some(2));
+        // …or an element's branch current.
+        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 2 });
         match err {
             SpiceError::SingularMna { unknown, .. } => {
                 assert!(unknown.contains("branch current of 'V'"), "{unknown}")
             }
             other => panic!("expected SingularMna, got {other:?}"),
         }
-        // …and the sparse path falls back to the bare numeric error.
-        let err = diagnose_singular(&nl, &layout, NumericError::Singular { pivot: 1 }, None);
-        assert!(matches!(err, SpiceError::Numeric(_)));
         // Non-singular errors pass through untouched.
         let err = diagnose_singular(
             &nl,
             &layout,
             NumericError::InvalidArgument { what: "x".into() },
-            None,
         );
         assert!(matches!(err, SpiceError::Numeric(_)));
     }

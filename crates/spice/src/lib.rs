@@ -43,6 +43,8 @@ pub mod ac;
 mod diagnose;
 pub mod measure;
 pub mod netlist;
+#[cfg(test)]
+mod oracle;
 pub mod reduce;
 pub mod stamp;
 pub mod transient;
@@ -55,7 +57,6 @@ pub use ac::{Ac, AcResult, Sweep};
 pub use error::SpiceError;
 pub use netlist::{InductorId, Netlist, NodeId, GROUND};
 pub use reduce::{Reduce, ReducedModel, ReductionOrder};
-pub use stamp::{SolverEngine, SPARSE_CUTOVER};
 pub use transient::{AdaptiveOptions, IntegrationMethod, Stepping, Transient, TransientResult};
 pub use waveform::Waveform;
 

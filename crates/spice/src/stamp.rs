@@ -1,4 +1,4 @@
-//! Shared MNA structure, element stamping, and solver-engine selection.
+//! Shared MNA structure, element stamping, and the sparse factor.
 //!
 //! The transient and AC engines solve the same modified-nodal-analysis
 //! system; only the element admittances differ (companion conductances
@@ -13,49 +13,18 @@
 //! * [`stamp_mna`] — one generic stamping pass, parameterized over the
 //!   scalar type and the per-element admittance maps, emitting
 //!   `(row, col, value)` contributions into whatever backing store the
-//!   caller provides (dense matrix or sparse triplet builder).
-//! * [`SolverEngine`] — the dense/sparse backend choice, with an `Auto`
-//!   mode that switches to sparse once the system outgrows the dense
-//!   factorization's cache-friendly sweet spot.
-//! * [`RealFactor`] — the factored real system (`f64`) behind the
-//!   transient engine and its DC operating point, wrapping either a
-//!   dense [`LuDecomposition`] or a [`SparseLu`].
+//!   caller provides (the sparse triplet builder, an in-place restamp
+//!   through a slot map, or a test's dense reference matrix).
+//! * [`MnaFactor`] — the factored real system (`f64`) behind the
+//!   transient engine and its DC operating point: the assembled
+//!   [`CscMatrix`], its [`SparseLu`] factors and the slot map that lets a
+//!   step-size change restamp values in place and refactor numerically.
 
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::Result;
 use crate::SpiceError;
-use rlcx_numeric::lu::LuDecomposition;
 use rlcx_numeric::sparse::{Scalar, SparseLu, TripletBuilder};
-use rlcx_numeric::{condest, obs, CscMatrix, Matrix, NumericError};
-
-/// Which linear-solver backend an analysis runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverEngine {
-    /// Pick by system size: sparse at or above [`SPARSE_CUTOVER`]
-    /// unknowns, dense below.
-    #[default]
-    Auto,
-    /// Dense LU regardless of size.
-    Dense,
-    /// Sparse LU regardless of size.
-    Sparse,
-}
-
-/// [`SolverEngine::Auto`] switches to the sparse engine at this many MNA
-/// unknowns. Below it, the dense factorization's tight loops win over the
-/// sparse solver's indirection; see `exp_mna_scaling` for the measured
-/// crossover.
-pub const SPARSE_CUTOVER: usize = 48;
-
-impl SolverEngine {
-    pub(crate) fn is_sparse(self, dim: usize) -> bool {
-        match self {
-            SolverEngine::Auto => dim >= SPARSE_CUTOVER,
-            SolverEngine::Dense => false,
-            SolverEngine::Sparse => true,
-        }
-    }
-}
+use rlcx_numeric::{condest, obs, CscMatrix};
 
 /// Unknown layout of the MNA system: node voltages for every non-ground
 /// node (in interning order), then one branch-current unknown per
@@ -208,32 +177,23 @@ fn stamp_branch<T: Scalar>(
     }
 }
 
-/// Translates a factorization error through the structural diagnoser;
-/// `dense` means the failing pivot maps 1:1 onto an MNA unknown.
-fn diagnose(nl: &Netlist, layout: &MnaLayout, e: NumericError, dense: bool) -> SpiceError {
-    let pivot = match (dense, &e) {
-        (true, NumericError::Singular { pivot }) => Some(*pivot),
-        _ => None,
-    };
-    crate::diagnose::diagnose_singular(nl, layout, e, pivot)
+/// A factored real MNA system. The assembled matrix is retained
+/// alongside the factors so residuals (iterative refinement) and the
+/// one-norm (condition estimation) stay available after factoring, and
+/// so [`MnaFactor::ensure`] can restamp it in place.
+pub(crate) struct MnaFactor {
+    a: CscMatrix<f64>,
+    lu: SparseLu<f64>,
+    /// Emission-order → value-slot map from
+    /// [`TripletBuilder::build_with_map`], for in-place restamping.
+    slot_map: Vec<usize>,
+    /// Companion coefficient `k` the numeric factors were stamped with
+    /// (`kC = k·C`, `kL = k·L`); `None` for a system built by
+    /// [`MnaFactor::assemble`], which never restamps.
+    key: Option<f64>,
 }
 
-/// A factored real MNA system behind either solver backend. The
-/// assembled matrix is retained alongside the factorization so residuals
-/// (iterative refinement) and the one-norm (condition estimation) stay
-/// available after factoring.
-pub(crate) enum RealFactor {
-    Dense {
-        a: Matrix,
-        lu: LuDecomposition,
-    },
-    Sparse {
-        a: CscMatrix<f64>,
-        lu: Box<SparseLu<f64>>,
-    },
-}
-
-impl RealFactor {
+impl MnaFactor {
     /// Assembles and factors the MNA matrix. `gmin`, when positive, adds
     /// a leak conductance on every node diagonal (the DC operating point
     /// uses it to pin nodes isolated by open capacitors).
@@ -241,115 +201,104 @@ impl RealFactor {
     /// # Errors
     ///
     /// Returns [`SpiceError::SingularMna`] (with the structural culprit
-    /// named when identifiable) or [`SpiceError::Numeric`] if the matrix
-    /// is singular.
+    /// or the failing unknown named) or [`SpiceError::Numeric`] if the
+    /// matrix is singular.
     pub fn assemble(
         nl: &Netlist,
         layout: &MnaLayout,
-        sparse: bool,
         gmin: f64,
         y_cap: impl Fn(f64) -> f64,
         z_ind: impl Fn(f64) -> f64,
         z_mut: impl Fn(f64) -> f64,
     ) -> Result<Self> {
-        let dim = layout.dim;
-        if sparse {
-            let mut tb = TripletBuilder::new(dim, dim);
-            if gmin > 0.0 {
-                for i in 0..layout.nv {
-                    tb.add(i, i, gmin);
-                }
+        let mut tb = TripletBuilder::new(layout.dim, layout.dim);
+        if gmin > 0.0 {
+            for i in 0..layout.nv {
+                tb.add(i, i, gmin);
             }
-            stamp_mna(nl, layout, y_cap, z_ind, z_mut, |i, j, v| tb.add(i, j, v));
-            let a = tb.build();
-            obs::gauge_set("spice.mna.nnz", a.nnz() as f64);
-            let lu = SparseLu::factor(&a).map_err(|e| diagnose(nl, layout, e, false))?;
-            Ok(RealFactor::Sparse {
-                a,
-                lu: Box::new(lu),
-            })
-        } else {
-            let mut a = Matrix::zeros(dim, dim);
-            if gmin > 0.0 {
-                for i in 0..layout.nv {
-                    a[(i, i)] += gmin;
-                }
-            }
-            stamp_mna(nl, layout, y_cap, z_ind, z_mut, |i, j, v| a[(i, j)] += v);
-            let lu = LuDecomposition::new(&a).map_err(|e| diagnose(nl, layout, e, true))?;
-            Ok(RealFactor::Dense { a, lu })
         }
+        stamp_mna(nl, layout, y_cap, z_ind, z_mut, |i, j, v| tb.add(i, j, v));
+        let (a, slot_map) = tb.build_with_map();
+        obs::gauge_set("spice.mna.nnz", a.nnz() as f64);
+        let lu =
+            SparseLu::factor(&a).map_err(|e| crate::diagnose::diagnose_singular(nl, layout, e))?;
+        Ok(MnaFactor {
+            a,
+            lu,
+            slot_map,
+            key: None,
+        })
     }
 
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        match self {
-            RealFactor::Dense { lu, .. } => lu.dim(),
-            RealFactor::Sparse { lu, .. } => lu.dim(),
-        }
+    /// Assembles and factors the transient companion system for
+    /// coefficient `k`: `kC = k·C`, `kL = k·L`, `kM = k·M`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`MnaFactor::assemble`].
+    pub fn companion(nl: &Netlist, layout: &MnaLayout, k: f64) -> Result<Self> {
+        let mut f = Self::assemble(nl, layout, 0.0, |c| k * c, |l| k * l, |m| k * m)?;
+        f.key = Some(k);
+        Ok(f)
     }
 
-    /// Solves into caller buffers; `scratch` is only used by the sparse
-    /// backend, but both backends leave `x` holding the solution without
-    /// allocating.
+    /// Makes a companion factorization current for coefficient `k`: a
+    /// no-op when `k` matches the cached key, otherwise an in-place
+    /// restamp through the slot map plus a numeric-only refactorization
+    /// that reuses the symbolic analysis (no heap allocation unless the
+    /// factorization must fall back to re-pivoting).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::SingularMna`] / [`SpiceError::Numeric`] if
+    /// the refactorization breaks down; the factor must not be used for
+    /// solves afterwards.
+    pub fn ensure(&mut self, nl: &Netlist, layout: &MnaLayout, k: f64) -> Result<()> {
+        debug_assert!(self.key.is_some(), "only companion systems restamp");
+        if self.key == Some(k) {
+            return Ok(());
+        }
+        self.a.zero_values();
+        let values = self.a.values_mut();
+        let slot_map = &self.slot_map;
+        let mut idx = 0usize;
+        stamp_mna(
+            nl,
+            layout,
+            |c| k * c,
+            |l| k * l,
+            |m| k * m,
+            |_, _, v| {
+                values[slot_map[idx]] += v;
+                idx += 1;
+            },
+        );
+        self.lu
+            .refactor(&self.a)
+            .map_err(|e| crate::diagnose::diagnose_singular(nl, layout, e))?;
+        self.key = Some(k);
+        Ok(())
+    }
+
+    /// Solves into caller buffers without allocating.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::Numeric`] on buffer-length mismatch.
     pub fn solve_into(&self, b: &[f64], scratch: &mut [f64], x: &mut [f64]) -> Result<()> {
-        match self {
-            RealFactor::Dense { lu, .. } => lu.solve_into(b, x)?,
-            RealFactor::Sparse { lu, .. } => lu.solve_into(b, scratch, x)?,
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience wrapper over [`RealFactor::solve_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::Numeric`] on length mismatch.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut scratch = vec![0.0; b.len()];
-        let mut x = vec![0.0; b.len()];
-        self.solve_into(b, &mut scratch, &mut x)?;
-        Ok(x)
+        Ok(self.lu.solve_into(b, scratch, x)?)
     }
 
     /// `y = A·x` against the retained (unfactored) matrix values;
     /// allocation-free.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            RealFactor::Dense { a, .. } => {
-                for (i, yi) in y.iter_mut().enumerate() {
-                    *yi = a.row(i).iter().zip(x).map(|(aij, xj)| aij * xj).sum();
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        y.iter_mut().for_each(|v| *v = 0.0);
+        for (j, &xj) in x.iter().enumerate() {
+            if xj != 0.0 {
+                for (&r, &v) in self.a.col_rows(j).iter().zip(self.a.col_values(j)) {
+                    y[r] += v * xj;
                 }
             }
-            RealFactor::Sparse { a, .. } => {
-                y.iter_mut().for_each(|v| *v = 0.0);
-                for (j, &xj) in x.iter().enumerate() {
-                    if xj != 0.0 {
-                        for (&r, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
-                            y[r] += v * xj;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// One-norm `‖A‖₁` of the assembled matrix (max column abs-sum).
-    pub fn norm1(&self) -> f64 {
-        match self {
-            RealFactor::Dense { a, .. } => {
-                let n = a.cols();
-                (0..n)
-                    .map(|j| (0..n).map(|i| a[(i, j)].abs()).sum::<f64>())
-                    .fold(0.0, f64::max)
-            }
-            RealFactor::Sparse { a, .. } => (0..a.ncols())
-                .map(|j| a.col_values(j).iter().map(|v| v.abs()).sum::<f64>())
-                .fold(0.0, f64::max),
         }
     }
 
@@ -361,21 +310,18 @@ impl RealFactor {
     /// Returns [`SpiceError::Numeric`] if an internal solve fails
     /// (should not happen on a valid factorization).
     pub fn cond_est(&self) -> Result<f64> {
-        let n = self.dim();
+        let n = self.lu.dim();
         let mut s1 = vec![0.0; n];
         let mut s2 = vec![0.0; n];
         let inv_est = condest::onenorm_inv_est(
             n,
-            |b, x| match self {
-                RealFactor::Dense { lu, .. } => lu.solve_into(b, x),
-                RealFactor::Sparse { lu, .. } => lu.solve_into(b, &mut s1, x),
-            },
-            |b, x| match self {
-                RealFactor::Dense { lu, .. } => lu.solve_transposed_into(b, &mut s2, x),
-                RealFactor::Sparse { lu, .. } => lu.solve_transposed_into(b, &mut s2, x),
-            },
+            |b, x| self.lu.solve_into(b, &mut s1, x),
+            |b, x| self.lu.solve_transposed_into(b, &mut s2, x),
         )?;
-        Ok(self.norm1() * inv_est)
+        let norm1 = (0..n)
+            .map(|j| self.a.col_values(j).iter().map(|v| v.abs()).sum::<f64>())
+            .fold(0.0, f64::max);
+        Ok(norm1 * inv_est)
     }
 
     /// Solves `A·x = b` and polishes the solution with up to `iters`
@@ -386,19 +332,17 @@ impl RealFactor {
     /// Returns [`SpiceError::Numeric`] on length mismatch.
     pub fn solve_refined(&self, b: &[f64], iters: usize) -> Result<Vec<f64>> {
         let n = b.len();
-        let mut x = self.solve(b)?;
+        let mut s = vec![0.0; n];
+        let mut x = vec![0.0; n];
+        self.solve_into(b, &mut s, &mut x)?;
         let mut r = vec![0.0; n];
         let mut dx = vec![0.0; n];
-        let mut s = vec![0.0; n];
         for _ in 0..iters {
             let residual = condest::refine_step(
                 b,
                 &mut x,
                 |v, y| self.matvec_into(v, y),
-                |rr, d| match self {
-                    RealFactor::Dense { lu, .. } => lu.solve_into(rr, d),
-                    RealFactor::Sparse { lu, .. } => lu.solve_into(rr, &mut s, d),
-                },
+                |rr, d| self.lu.solve_into(rr, &mut s, d),
                 &mut r,
                 &mut dx,
             )?;
@@ -410,142 +354,12 @@ impl RealFactor {
     }
 }
 
-/// A re-stampable, re-factorable real MNA system for step-size-varying
-/// transient integration.
-///
-/// The matrix *pattern* is fixed at construction (element topology never
-/// changes); only the companion conductances `kC = kc·C` / `kL = kl·L`
-/// depend on the step size. [`VarFactor::ensure`] re-stamps values in
-/// place and re-runs the numeric factorization only — the sparse
-/// symbolic analysis (ordering + fill) from construction is reused via
-/// [`SparseLu::refactor`], and the dense path eliminates in place via
-/// [`LuDecomposition::refactor`]. Neither allocates on the fast path,
-/// which keeps the adaptive engine's accepted-step loop heap-free.
-pub(crate) struct VarFactor {
-    factor: RealFactor,
-    /// Emission-order → value-slot map for the sparse replay; empty for
-    /// dense.
-    slot_map: Vec<usize>,
-    /// `(kc, kl)` the current numeric factorization was stamped with.
-    key: (f64, f64),
-}
-
-impl VarFactor {
-    /// Stamps and factors the system for companion coefficients
-    /// `(kc, kl)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMna`] / [`SpiceError::Numeric`] on
-    /// a singular system (see [`RealFactor::assemble`]).
-    pub fn new(nl: &Netlist, layout: &MnaLayout, sparse: bool, kc: f64, kl: f64) -> Result<Self> {
-        let dim = layout.dim;
-        if sparse {
-            let mut tb = TripletBuilder::new(dim, dim);
-            stamp_mna(
-                nl,
-                layout,
-                |c| kc * c,
-                |l| kl * l,
-                |m| kl * m,
-                |i, j, v| tb.add(i, j, v),
-            );
-            let (a, slot_map) = tb.build_with_map();
-            obs::gauge_set("spice.mna.nnz", a.nnz() as f64);
-            let lu = SparseLu::factor(&a).map_err(|e| diagnose(nl, layout, e, false))?;
-            Ok(VarFactor {
-                factor: RealFactor::Sparse {
-                    a,
-                    lu: Box::new(lu),
-                },
-                slot_map,
-                key: (kc, kl),
-            })
-        } else {
-            let factor =
-                RealFactor::assemble(nl, layout, false, 0.0, |c| kc * c, |l| kl * l, |m| kl * m)?;
-            Ok(VarFactor {
-                factor,
-                slot_map: Vec::new(),
-                key: (kc, kl),
-            })
-        }
-    }
-
-    /// Makes the factorization current for `(kc, kl)`: a no-op when the
-    /// coefficients match the cached key, otherwise an in-place restamp
-    /// plus numeric-only refactorization (no heap allocation unless the
-    /// sparse backend must fall back to re-pivoting).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMna`] / [`SpiceError::Numeric`] if
-    /// the refactorization breaks down; the factor must not be used for
-    /// solves afterwards.
-    pub fn ensure(&mut self, nl: &Netlist, layout: &MnaLayout, kc: f64, kl: f64) -> Result<()> {
-        if self.key == (kc, kl) {
-            return Ok(());
-        }
-        let VarFactor {
-            factor, slot_map, ..
-        } = self;
-        match factor {
-            RealFactor::Dense { a, lu } => {
-                a.as_mut_slice().iter_mut().for_each(|v| *v = 0.0);
-                stamp_mna(
-                    nl,
-                    layout,
-                    |c| kc * c,
-                    |l| kl * l,
-                    |m| kl * m,
-                    |i, j, v| a[(i, j)] += v,
-                );
-                lu.refactor(a).map_err(|e| diagnose(nl, layout, e, true))?;
-            }
-            RealFactor::Sparse { a, lu } => {
-                a.zero_values();
-                {
-                    let values = a.values_mut();
-                    let mut k = 0usize;
-                    stamp_mna(
-                        nl,
-                        layout,
-                        |c| kc * c,
-                        |l| kl * l,
-                        |m| kl * m,
-                        |_, _, v| {
-                            values[slot_map[k]] += v;
-                            k += 1;
-                        },
-                    );
-                }
-                lu.refactor(a).map_err(|e| diagnose(nl, layout, e, false))?;
-            }
-        }
-        self.key = (kc, kl);
-        Ok(())
-    }
-
-    /// Solves against the current factorization; allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::Numeric`] on buffer-length mismatch.
-    pub fn solve_into(&self, b: &[f64], scratch: &mut [f64], x: &mut [f64]) -> Result<()> {
-        self.factor.solve_into(b, scratch, x)
-    }
-
-    /// The underlying factored system (condition estimation, refinement).
-    pub fn factor(&self) -> &RealFactor {
-        &self.factor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::GROUND;
     use crate::waveform::Waveform;
+    use rlcx_numeric::Matrix;
 
     fn rlc_netlist() -> Netlist {
         let mut nl = Netlist::new();
@@ -610,13 +424,5 @@ mod tests {
                 assert_eq!(dense[(i, j)], a.get(i, j), "entry ({i}, {j})");
             }
         }
-    }
-
-    #[test]
-    fn engine_selection_cutover() {
-        assert!(!SolverEngine::Auto.is_sparse(SPARSE_CUTOVER - 1));
-        assert!(SolverEngine::Auto.is_sparse(SPARSE_CUTOVER));
-        assert!(!SolverEngine::Dense.is_sparse(10_000));
-        assert!(SolverEngine::Sparse.is_sparse(2));
     }
 }

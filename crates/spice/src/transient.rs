@@ -22,14 +22,14 @@
 //!   size changes reuse the sparse symbolic factorization through a
 //!   numeric-only refactorization.
 //!
-//! The factorization backend is selected by [`SolverEngine`]: dense LU for
-//! small systems, the fill-reducing sparse LU of `rlcx_numeric::sparse`
-//! for large ones (clocktree MNA matrices have O(n) nonzeros). Either way
-//! the per-step loop runs without heap allocation — right-hand side,
-//! solution, and scratch buffers are preallocated and reused.
+//! Every system is factored by the fill-reducing sparse LU of
+//! `rlcx_numeric::sparse` (clocktree MNA matrices have O(n) nonzeros),
+//! and the per-step loop runs without heap allocation — right-hand side,
+//! solution, scratch buffers and result columns are preallocated and
+//! reused.
 
 use crate::netlist::{Element, Netlist, NodeId};
-use crate::stamp::{MnaLayout, RealFactor, SolverEngine, VarFactor};
+use crate::stamp::{MnaFactor, MnaLayout};
 use crate::{Result, SpiceError};
 use rlcx_numeric::obs;
 
@@ -127,17 +127,16 @@ fn volt_of(x: &[f64], n: NodeId) -> f64 {
 
 /// Assembles the companion-model right-hand side for one step ending at
 /// source time `t_src`, from committed state `x` / `cap_current`.
-/// `kc`/`kl` are the capacitor/inductor companion coefficients of the
-/// step being taken; `trap` selects trapezoidal history terms.
+/// `k` is the companion coefficient of the step being taken (`kC = k·C`,
+/// `kL = k·L`); `trap` selects trapezoidal history terms.
 #[allow(clippy::too_many_arguments)]
-fn assemble_rhs(
+pub(crate) fn assemble_rhs(
     nl: &Netlist,
     layout: &MnaLayout,
     x: &[f64],
     cap_current: &[f64],
     t_src: f64,
-    kc: f64,
-    kl: f64,
+    k: f64,
     trap: bool,
     rhs: &mut [f64],
 ) {
@@ -149,9 +148,9 @@ fn assemble_rhs(
                 let v_prev = volt_of(x, *p) - volt_of(x, *n);
                 let i_prev = cap_current[ei];
                 let ieq = if trap {
-                    kc * farads * v_prev + i_prev
+                    k * farads * v_prev + i_prev
                 } else {
-                    kc * farads * v_prev
+                    k * farads * v_prev
                 };
                 if let Some(ip) = MnaLayout::var(*p) {
                     rhs[ip] += ieq;
@@ -163,7 +162,7 @@ fn assemble_rhs(
             Element::Inductor { p, n, henries, .. } => {
                 let row = layout.branch(ei);
                 let i_prev = x[row];
-                let mut r = -kl * henries * i_prev;
+                let mut r = -k * henries * i_prev;
                 if trap {
                     r -= volt_of(x, *p) - volt_of(x, *n);
                 }
@@ -178,15 +177,15 @@ fn assemble_rhs(
     for m in &nl.mutuals {
         let ra = layout.branch(nl.inductors[m.a.0]);
         let rb = layout.branch(nl.inductors[m.b.0]);
-        rhs[ra] -= kl * m.m * x[rb];
-        rhs[rb] -= kl * m.m * x[ra];
+        rhs[ra] -= k * m.m * x[rb];
+        rhs[rb] -= k * m.m * x[ra];
     }
 }
 
 /// Updates capacitor companion currents after a solve: `x_new` is the
 /// fresh solution, `x_prev` the state the step departed from, and
 /// `cap_current` holds the previous companion currents on entry.
-fn update_cap_currents(
+pub(crate) fn update_cap_currents(
     nl: &Netlist,
     x_new: &[f64],
     x_prev: &[f64],
@@ -220,21 +219,18 @@ pub struct Transient<'a> {
     timestep: f64,
     duration: f64,
     method: IntegrationMethod,
-    engine: SolverEngine,
     stepping: Stepping,
 }
 
 impl<'a> Transient<'a> {
     /// Creates an analysis with defaults: 1 ps step, 5 ns duration,
-    /// trapezoidal integration, automatic solver-engine selection, fixed
-    /// stepping.
+    /// trapezoidal integration, fixed stepping.
     pub fn new(netlist: &'a Netlist) -> Self {
         Transient {
             netlist,
             timestep: 1e-12,
             duration: 5e-9,
             method: IntegrationMethod::default(),
-            engine: SolverEngine::default(),
             stepping: Stepping::default(),
         }
     }
@@ -258,13 +254,6 @@ impl<'a> Transient<'a> {
     #[must_use]
     pub fn method(mut self, method: IntegrationMethod) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Sets the linear-solver backend (default [`SolverEngine::Auto`]).
-    #[must_use]
-    pub fn engine(mut self, engine: SolverEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -313,21 +302,20 @@ impl<'a> Transient<'a> {
         let nl = self.netlist;
         let h = self.timestep;
         let layout = MnaLayout::new(nl)?;
-        let (nv, dim) = (layout.nv, layout.dim);
+        let dim = layout.dim;
         obs::gauge_set("spice.mna.dim", dim as f64);
-        let sparse = self.engine.is_sparse(dim);
 
         // Integration coefficient: trap uses 2L/h and 2C/h, BE uses L/h, C/h.
-        let (kc, kl) = match self.method {
-            IntegrationMethod::Trapezoidal => (2.0 / h, 2.0 / h),
-            IntegrationMethod::BackwardEuler => (1.0 / h, 1.0 / h),
+        let k = match self.method {
+            IntegrationMethod::Trapezoidal => 2.0 / h,
+            IntegrationMethod::BackwardEuler => 1.0 / h,
         };
         let trap = self.method == IntegrationMethod::Trapezoidal;
 
         // Assemble and factor the constant system matrix once.
         let lu = {
             let _s = obs::span("spice.mna.factor");
-            RealFactor::assemble(nl, &layout, sparse, 0.0, |c| kc * c, |l| kl * l, |m| kl * m)?
+            MnaFactor::companion(nl, &layout, k)?
         };
         if let Ok(cond) = lu.cond_est() {
             obs::gauge_set("lu.cond_est", cond);
@@ -335,7 +323,7 @@ impl<'a> Transient<'a> {
 
         // DC operating point at t = 0: resistors as-is, inductors as shorts,
         // capacitors open, sources at their initial value.
-        let x0 = self.dc_operating_point(&layout, sparse)?;
+        let x0 = self.dc_operating_point(&layout)?;
 
         // State: node voltages + branch currents in `x`; capacitor currents
         // tracked separately for the trapezoidal companion.
@@ -351,39 +339,19 @@ impl<'a> Transient<'a> {
         let mut scratch = vec![0.0; dim];
         let mut rhs = vec![0.0; dim];
         let mut cap_current = vec![0.0; nl.elements.len()];
-        let mut time = Vec::with_capacity(steps + 1);
-        // Not `vec![Vec::with_capacity(..); n]`: cloning a Vec drops its
-        // capacity, which would turn every recorded column into a growing
-        // vector that reallocates inside the step loop.
-        let mut volts: Vec<Vec<f64>> = (0..nl.node_count())
-            .map(|_| Vec::with_capacity(steps + 1))
-            .collect();
-        let mut branch_currents: Vec<Vec<f64>> = (0..layout.branch_elems.len())
-            .map(|_| Vec::with_capacity(steps + 1))
-            .collect();
-        let record = |x: &[f64], volts: &mut Vec<Vec<f64>>, branch_currents: &mut Vec<Vec<f64>>| {
-            volts[0].push(0.0);
-            for node in 1..nl.node_count() {
-                volts[node].push(x[node - 1]);
-            }
-            for (bi, _) in layout.branch_elems.iter().enumerate() {
-                branch_currents[bi].push(x[nv + bi]);
-            }
-        };
-        time.push(0.0);
-        record(&x, &mut volts, &mut branch_currents);
+        let mut rec = Recorder::new(&layout, steps + 1);
+        rec.record(0.0, &x);
 
         for step in 1..=steps {
             let t = step as f64 * h;
-            assemble_rhs(nl, &layout, &x, &cap_current, t, kc, kl, trap, &mut rhs);
+            assemble_rhs(nl, &layout, &x, &cap_current, t, k, trap, &mut rhs);
             lu.solve_into(&rhs, &mut scratch, &mut x_new)?;
-            update_cap_currents(nl, &x_new, &x, kc, trap, &mut cap_current);
+            update_cap_currents(nl, &x_new, &x, k, trap, &mut cap_current);
             std::mem::swap(&mut x, &mut x_new);
-            time.push(t);
-            record(&x, &mut volts, &mut branch_currents);
+            rec.record(t, &x);
         }
 
-        Ok(self.finish(nl, &layout, time, volts, branch_currents, 0))
+        Ok(rec.finish(nl, &layout, 0))
     }
 
     /// Adaptive integration: step-doubling LTE control with breakpoint
@@ -392,9 +360,8 @@ impl<'a> Transient<'a> {
         opts.validate()?;
         let nl = self.netlist;
         let layout = MnaLayout::new(nl)?;
-        let (nv, dim) = (layout.nv, layout.dim);
+        let dim = layout.dim;
         obs::gauge_set("spice.mna.dim", dim as f64);
-        let sparse = self.engine.is_sparse(dim);
         let trap_method = self.method == IntegrationMethod::Trapezoidal;
         let duration = self.duration;
         let h_init = self.timestep.min(duration);
@@ -423,7 +390,7 @@ impl<'a> Transient<'a> {
         bps.dedup_by(|a, b| (*a - *b).abs() <= t_eps);
         obs::counter_add("spice.breakpoints", bps.len() as u64);
 
-        // Companion coefficient of a step of size `h` (kc = kl throughout).
+        // Companion coefficient of a step of size `h`.
         let coeff = |h: f64, trap: bool| if trap { 2.0 / h } else { 1.0 / h };
 
         // Two factor caches — the full step at `h` and its two half steps
@@ -431,18 +398,16 @@ impl<'a> Transient<'a> {
         // only the numeric factorization (symbolic analysis reused).
         let (mut full, mut half) = {
             let _s = obs::span("spice.mna.factor");
-            let k = coeff(h_init, trap_method);
-            let k2 = coeff(0.5 * h_init, trap_method);
             (
-                VarFactor::new(nl, &layout, sparse, k, k)?,
-                VarFactor::new(nl, &layout, sparse, k2, k2)?,
+                MnaFactor::companion(nl, &layout, coeff(h_init, trap_method))?,
+                MnaFactor::companion(nl, &layout, coeff(0.5 * h_init, trap_method))?,
             )
         };
-        if let Ok(cond) = full.factor().cond_est() {
+        if let Ok(cond) = full.cond_est() {
             obs::gauge_set("lu.cond_est", cond);
         }
 
-        let x0 = self.dc_operating_point(&layout, sparse)?;
+        let x0 = self.dc_operating_point(&layout)?;
 
         // Preallocate everything the attempt loop touches; the accepted-
         // step hot loop must stay heap-free (tests/obs_overhead.rs). The
@@ -458,24 +423,8 @@ impl<'a> Transient<'a> {
         let mut cap_current = vec![0.0; nl.elements.len()];
         let mut cc_half = vec![0.0; nl.elements.len()];
         let cap_guess = (2.0 * duration / h_init).ceil() as usize + 4 * bps.len() + 64;
-        let mut time = Vec::with_capacity(cap_guess);
-        let mut volts: Vec<Vec<f64>> = (0..nl.node_count())
-            .map(|_| Vec::with_capacity(cap_guess))
-            .collect();
-        let mut branch_currents: Vec<Vec<f64>> = (0..layout.branch_elems.len())
-            .map(|_| Vec::with_capacity(cap_guess))
-            .collect();
-        let record = |x: &[f64], volts: &mut Vec<Vec<f64>>, branch_currents: &mut Vec<Vec<f64>>| {
-            volts[0].push(0.0);
-            for node in 1..nl.node_count() {
-                volts[node].push(x[node - 1]);
-            }
-            for (bi, _) in layout.branch_elems.iter().enumerate() {
-                branch_currents[bi].push(x[nv + bi]);
-            }
-        };
-        time.push(0.0);
-        record(&x, &mut volts, &mut branch_currents);
+        let mut rec = Recorder::new(&layout, cap_guess);
+        rec.record(0.0, &x);
 
         let mut t = 0.0;
         let mut h = h_init;
@@ -527,29 +476,19 @@ impl<'a> Transient<'a> {
 
                 // Full step at h_try.
                 let k = coeff(h_try, trap);
-                full.ensure(nl, &layout, k, k)?;
-                assemble_rhs(nl, &layout, &x, &cap_current, t_src, k, k, trap, &mut rhs);
+                full.ensure(nl, &layout, k)?;
+                assemble_rhs(nl, &layout, &x, &cap_current, t_src, k, trap, &mut rhs);
                 full.solve_into(&rhs, &mut scratch, &mut x_full)?;
 
                 // The same step as two half steps.
                 let h2 = 0.5 * h_try;
                 let k2 = coeff(h2, trap);
-                half.ensure(nl, &layout, k2, k2)?;
-                assemble_rhs(
-                    nl,
-                    &layout,
-                    &x,
-                    &cap_current,
-                    t + h2,
-                    k2,
-                    k2,
-                    trap,
-                    &mut rhs,
-                );
+                half.ensure(nl, &layout, k2)?;
+                assemble_rhs(nl, &layout, &x, &cap_current, t + h2, k2, trap, &mut rhs);
                 half.solve_into(&rhs, &mut scratch, &mut x_mid)?;
                 cc_half.copy_from_slice(&cap_current);
                 update_cap_currents(nl, &x_mid, &x, k2, trap, &mut cc_half);
-                assemble_rhs(nl, &layout, &x_mid, &cc_half, t_src, k2, k2, trap, &mut rhs);
+                assemble_rhs(nl, &layout, &x_mid, &cc_half, t_src, k2, trap, &mut rhs);
                 half.solve_into(&rhs, &mut scratch, &mut x_half)?;
 
                 // Step-doubling LTE: for a method of order p the half-step
@@ -589,8 +528,7 @@ impl<'a> Transient<'a> {
             obs::series_push("transient.h", t, h_eff);
             obs::series_push("transient.lte", t, err);
             obs::series_push("transient.accept", t, 1.0);
-            time.push(t);
-            record(&x, &mut volts, &mut branch_currents);
+            rec.record(t, &x);
 
             // Step-size controller for the next step.
             let grow = if err > 0.0 && err.is_finite() {
@@ -613,17 +551,76 @@ impl<'a> Transient<'a> {
         obs::counter_add("spice.steps", accepted);
         obs::counter_add("spice.steps.rejected", rejected);
 
-        Ok(self.finish(nl, &layout, time, volts, branch_currents, rejected as usize))
+        Ok(rec.finish(nl, &layout, rejected as usize))
     }
 
-    /// Packs recorded samples into a [`TransientResult`].
-    fn finish(
-        &self,
+    /// DC operating point: inductors shorted, capacitors open, sources at
+    /// `t = 0`, factored like the main analysis and polished with
+    /// iterative refinement.
+    ///
+    /// A 1 pS gmin conductance from every node to ground keeps nodes
+    /// isolated by capacitors (open at DC) well-defined without noticeable
+    /// loading; the inductor branch equation reads `v_p − v_n = ε·i` (a
+    /// 1 nΩ "short") so configurations like a source in parallel with an
+    /// inductor — two ideal shorts — stay non-singular. Mutual couplings
+    /// carry no DC term.
+    fn dc_operating_point(&self, layout: &MnaLayout) -> Result<Vec<f64>> {
+        let nl = self.netlist;
+        let lu = MnaFactor::assemble(nl, layout, 1e-12, |_| 0.0, |_| 1e-9, |_| 0.0)?;
+        let mut rhs = vec![0.0; layout.dim];
+        for (ei, e) in nl.elements.iter().enumerate() {
+            if let Element::VSource { wave, .. } = e {
+                rhs[layout.branch(ei)] = wave.eval(0.0);
+            }
+        }
+        // The gmin/ε regularization skews conditioning; one round of
+        // refinement recovers the digits it costs.
+        lu.solve_refined(&rhs, 2)
+    }
+}
+
+/// Result columns recorded sample by sample. Every column is pre-sized,
+/// so recording inside a step loop does not allocate while the run stays
+/// within the capacity.
+pub(crate) struct Recorder {
+    time: Vec<f64>,
+    /// One column per node, ground (always 0 V) first.
+    volts: Vec<Vec<f64>>,
+    /// One column per branch unknown, in [`MnaLayout`] order.
+    branch_currents: Vec<Vec<f64>>,
+}
+
+impl Recorder {
+    pub(crate) fn new(layout: &MnaLayout, capacity: usize) -> Self {
+        // Not `vec![Vec::with_capacity(..); n]`: cloning a Vec drops its
+        // capacity, which would turn every recorded column into a growing
+        // vector that reallocates inside the step loop.
+        let columns = |n: usize| (0..n).map(|_| Vec::with_capacity(capacity)).collect();
+        Recorder {
+            time: Vec::with_capacity(capacity),
+            volts: columns(layout.nv + 1),
+            branch_currents: columns(layout.branch_elems.len()),
+        }
+    }
+
+    /// Appends the sample at time `t` from MNA solution `x`.
+    pub(crate) fn record(&mut self, t: f64, x: &[f64]) {
+        let nv = self.volts.len() - 1;
+        self.time.push(t);
+        self.volts[0].push(0.0);
+        for (col, &v) in self.volts[1..].iter_mut().zip(&x[..nv]) {
+            col.push(v);
+        }
+        for (col, &i) in self.branch_currents.iter_mut().zip(&x[nv..]) {
+            col.push(i);
+        }
+    }
+
+    /// Packs the recorded samples into a [`TransientResult`].
+    pub(crate) fn finish(
+        self,
         nl: &Netlist,
         layout: &MnaLayout,
-        time: Vec<f64>,
-        volts: Vec<Vec<f64>>,
-        branch_currents: Vec<Vec<f64>>,
         rejected_steps: usize,
     ) -> TransientResult {
         let node_names: Vec<String> = (0..nl.node_count())
@@ -638,37 +635,13 @@ impl<'a> Transient<'a> {
             })
             .collect();
         TransientResult {
-            time,
+            time: self.time,
             node_names,
-            volts,
+            volts: self.volts,
             branch_names,
-            branch_currents,
+            branch_currents: self.branch_currents,
             rejected_steps,
         }
-    }
-
-    /// DC operating point: inductors shorted, capacitors open, sources at
-    /// `t = 0`, solved through the same engine as the main analysis and
-    /// polished with iterative refinement.
-    ///
-    /// A 1 pS gmin conductance from every node to ground keeps nodes
-    /// isolated by capacitors (open at DC) well-defined without noticeable
-    /// loading; the inductor branch equation reads `v_p − v_n = ε·i` (a
-    /// 1 nΩ "short") so configurations like a source in parallel with an
-    /// inductor — two ideal shorts — stay non-singular. Mutual couplings
-    /// carry no DC term.
-    fn dc_operating_point(&self, layout: &MnaLayout, sparse: bool) -> Result<Vec<f64>> {
-        let nl = self.netlist;
-        let lu = RealFactor::assemble(nl, layout, sparse, 1e-12, |_| 0.0, |_| 1e-9, |_| 0.0)?;
-        let mut rhs = vec![0.0; layout.dim];
-        for (ei, e) in nl.elements.iter().enumerate() {
-            if let Element::VSource { wave, .. } = e {
-                rhs[layout.branch(ei)] = wave.eval(0.0);
-            }
-        }
-        // The gmin/ε regularization skews conditioning; one round of
-        // refinement recovers the digits it costs.
-        lu.solve_refined(&rhs, 2)
     }
 }
 
@@ -1154,15 +1127,10 @@ mod tests {
         assert_eq!(res.voltage_at("a", 1.0).unwrap(), 3.0);
     }
 
-    #[test]
-    fn coupled_inductors_agree_across_engines() {
-        use crate::stamp::SolverEngine;
-        // A transformer-coupled RLC network: mutual terms land on
-        // off-diagonal branch rows, the part of the pattern most likely to
-        // diverge between the dense and sparse assemblies. Both engines
-        // must produce the same trajectories to solver precision under
-        // both integration methods — and under adaptive stepping, where
-        // the sparse path exercises the numeric-only refactorization.
+    /// A transformer-coupled RLC network: mutual terms land on
+    /// off-diagonal branch rows, the part of the pattern most likely to
+    /// go wrong in the sparse assembly.
+    fn transformer() -> Netlist {
         let mut nl = Netlist::new();
         let inp = nl.node("in");
         let mid = nl.node("mid");
@@ -1176,22 +1144,25 @@ mod tests {
         nl.mutual("K", lp, ls, 1.2e-9).unwrap();
         nl.resistor("Rl", sec, out, 50.0).unwrap();
         nl.capacitor("Cl", out, GROUND, 0.5e-12).unwrap();
+        nl
+    }
 
+    #[test]
+    fn coupled_inductors_agree_across_engines() {
+        // The sparse engine must reproduce the dense reference's
+        // trajectories to solver precision under both integration methods.
+        let nl = transformer();
         for method in [
             IntegrationMethod::Trapezoidal,
             IntegrationMethod::BackwardEuler,
         ] {
-            let run = |engine: SolverEngine| {
-                Transient::new(&nl)
-                    .method(method)
-                    .engine(engine)
-                    .timestep(1e-12)
-                    .duration(2e-9)
-                    .run()
-                    .unwrap()
-            };
-            let dense = run(SolverEngine::Dense);
-            let sparse = run(SolverEngine::Sparse);
+            let dense = crate::oracle::transient(&nl, method, 1e-12, 2e-9);
+            let sparse = Transient::new(&nl)
+                .method(method)
+                .timestep(1e-12)
+                .duration(2e-9)
+                .run()
+                .unwrap();
             for node in ["mid", "sec", "out"] {
                 let vd = dense.voltage(node).unwrap();
                 let vs = sparse.voltage(node).unwrap();
@@ -1221,35 +1192,18 @@ mod tests {
 
     #[test]
     fn adaptive_agrees_across_engines() {
-        // Same transformer network, adaptive axis: roundoff differences
-        // between the backends can shift individual accept/reject calls,
-        // so compare interpolated waveforms, not raw samples. This is the
-        // path that exercises the sparse numeric-only refactorization
-        // across step-size changes.
-        let mut nl = Netlist::new();
-        let inp = nl.node("in");
-        let mid = nl.node("mid");
-        let sec = nl.node("sec");
-        let out = nl.node("out");
-        nl.vsource("V", inp, GROUND, Waveform::ramp(0.0, 1.0, 0.0, 50e-12))
+        // Same transformer network on the adaptive axis — the path that
+        // restamps through the slot map and refactors numerically at every
+        // step-size change — against the dense reference's fixed 1 ps
+        // axis, compared on interpolated waveforms.
+        let nl = transformer();
+        let dense = crate::oracle::transient(&nl, IntegrationMethod::Trapezoidal, 1e-12, 2e-9);
+        let sparse = Transient::new(&nl)
+            .stepping(Stepping::Adaptive(AdaptiveOptions::default()))
+            .timestep(1e-12)
+            .duration(2e-9)
+            .run()
             .unwrap();
-        nl.resistor("Rs", inp, mid, 20.0).unwrap();
-        let lp = nl.inductor("Lp", mid, GROUND, 2e-9).unwrap();
-        let ls = nl.inductor("Ls", sec, GROUND, 2e-9).unwrap();
-        nl.mutual("K", lp, ls, 1.2e-9).unwrap();
-        nl.resistor("Rl", sec, out, 50.0).unwrap();
-        nl.capacitor("Cl", out, GROUND, 0.5e-12).unwrap();
-        let run = |engine: SolverEngine| {
-            Transient::new(&nl)
-                .engine(engine)
-                .stepping(Stepping::Adaptive(AdaptiveOptions::default()))
-                .timestep(1e-12)
-                .duration(2e-9)
-                .run()
-                .unwrap()
-        };
-        let dense = run(SolverEngine::Dense);
-        let sparse = run(SolverEngine::Sparse);
         for node in ["mid", "sec", "out"] {
             for i in 1..=50 {
                 let t = i as f64 * 4e-11;
@@ -1257,6 +1211,32 @@ mod tests {
                 let s = sparse.voltage_at(node, t).unwrap();
                 assert!((d - s).abs() < 1e-3, "{node} at {t}: {d} vs {s}");
             }
+        }
+    }
+
+    #[test]
+    fn numeric_singularity_names_the_unknown() {
+        // Perfectly coupled twin inductors in parallel (M = L) make their
+        // two branch rows identical: singular with no floating node or
+        // ideal loop, so the failing sparse pivot must name the unknown.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let b = nl.node("b");
+        nl.vsource("V", a, GROUND, Waveform::ramp(0.0, 1.0, 0.0, 1e-11))
+            .unwrap();
+        nl.resistor("R", a, b, 10.0).unwrap();
+        let l1 = nl.inductor("L1", b, GROUND, 1e-9).unwrap();
+        let l2 = nl.inductor("L2", b, GROUND, 1e-9).unwrap();
+        nl.mutual("K", l1, l2, 1e-9).unwrap();
+        match Transient::new(&nl)
+            .run()
+            .expect_err("M = L must not factor")
+        {
+            SpiceError::SingularMna { unknown, reason } => {
+                assert!(unknown.contains("branch current of 'L"), "{unknown}");
+                assert!(reason.contains("pivot"), "{reason}");
+            }
+            other => panic!("expected SingularMna, got {other:?}"),
         }
     }
 }

@@ -232,67 +232,3 @@ fn spice_export_roundtrip_contains_extracted_values() {
     assert!(deck.contains(&format!("{:.6e}", seg.r)));
     assert!(deck.contains("Vdrv"));
 }
-
-#[test]
-fn solver_engines_agree_on_extracted_netlist() {
-    use rlcx::spice::{
-        ac::{Ac, Sweep},
-        SolverEngine, SPARSE_CUTOVER,
-    };
-    // End-to-end backend check: an extracted RLC ladder big enough that
-    // `Auto` routes it to the sparse engine, driven through both the
-    // transient and AC analyses on both backends.
-    let ex = extractor();
-    let tree = straight_net(4000.0);
-    let cross = Block::coplanar_waveguide(1.0, 5.0, 5.0, 1.0).unwrap();
-    let out = TreeNetlistBuilder::new(&ex)
-        .sections_per_segment(24)
-        .driver_resistance(25.0)
-        .input(Waveform::ramp(0.0, 1.0, 0.0, 20e-12))
-        .build(&tree, &cross)
-        .unwrap();
-    assert!(
-        out.netlist.node_count() > SPARSE_CUTOVER,
-        "test circuit must exceed the sparse cutover"
-    );
-
-    let trans = |engine: SolverEngine| {
-        Transient::new(&out.netlist)
-            .engine(engine)
-            .timestep(0.5e-12)
-            .duration(1e-9)
-            .run()
-            .unwrap()
-    };
-    let dense = trans(SolverEngine::Dense);
-    let sparse = trans(SolverEngine::Sparse);
-    let sink = &out.sinks[0];
-    for (d, s) in dense
-        .voltage(sink)
-        .unwrap()
-        .iter()
-        .zip(sparse.voltage(sink).unwrap())
-    {
-        assert!((d - s).abs() / d.abs().max(1.0) < 1e-9, "{d} vs {s}");
-    }
-
-    let sweep = Sweep::log(1e8, 5e10, 15);
-    let ac_dense = Ac::new(&out.netlist)
-        .sweep(sweep)
-        .engine(SolverEngine::Dense)
-        .run()
-        .unwrap();
-    let ac_sparse = Ac::new(&out.netlist)
-        .sweep(sweep)
-        .engine(SolverEngine::Sparse)
-        .run()
-        .unwrap();
-    for (d, s) in ac_dense
-        .voltage(sink)
-        .unwrap()
-        .iter()
-        .zip(ac_sparse.voltage(sink).unwrap())
-    {
-        assert!((*d - *s).abs() / d.abs().max(1.0) < 1e-9, "{d:?} vs {s:?}");
-    }
-}

@@ -78,17 +78,17 @@ fn disabled_spans_do_not_allocate() {
     );
 }
 
-/// The transient per-step loop must be heap-allocation-free on both
-/// solver backends. Proof by invariance: the result buffers are sized
-/// up front with `with_capacity` (one allocation each, regardless of
-/// length), so if the step loop itself never allocates, a 500-step run
+/// The transient per-step loop must be heap-allocation-free. Proof by
+/// invariance: the result buffers are sized up front with
+/// `with_capacity` (one allocation each, regardless of length), so if
+/// the step loop itself never allocates, a 500-step run
 /// performs *exactly* as many allocations as a 50-step run of the same
 /// fresh circuit. Any per-step `Vec`, boxing, or map insert would make
 /// the counts diverge by hundreds. The transient engine is single-threaded,
 /// so the calling thread's count covers the whole run.
 #[test]
 fn transient_step_loop_does_not_allocate() {
-    use rlcx::spice::{Netlist, SolverEngine, Transient, Waveform, GROUND};
+    use rlcx::spice::{Netlist, Transient, Waveform, GROUND};
 
     let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
@@ -110,13 +110,11 @@ fn transient_step_loop_does_not_allocate() {
         nl
     }
 
-    fn allocs_for_run(engine: SolverEngine, steps: usize) -> u64 {
-        // 30 sections → 92 unknowns, comfortably past SPARSE_CUTOVER so
-        // `Sparse` exercises the real sparse path at scale.
+    fn allocs_for_run(steps: usize) -> u64 {
+        // 30 sections → 92 unknowns: the sparse path at scale.
         let nl = ladder(30);
         let before = thread_allocations();
         let res = Transient::new(&nl)
-            .engine(engine)
             .timestep(1e-12)
             .duration(steps as f64 * 1e-12)
             .run()
@@ -126,17 +124,15 @@ fn transient_step_loop_does_not_allocate() {
         after - before
     }
 
-    for engine in [SolverEngine::Dense, SolverEngine::Sparse] {
-        // Warm one-time lazy state (metric name registration, etc.) so it
-        // is not charged to either measured run.
-        let _ = allocs_for_run(engine, 8);
-        let short = allocs_for_run(engine, 50);
-        let long = allocs_for_run(engine, 500);
-        assert_eq!(
-            short, long,
-            "{engine:?}: allocation count must not grow with step count"
-        );
-    }
+    // Warm one-time lazy state (metric name registration, etc.) so it is
+    // not charged to either measured run.
+    let _ = allocs_for_run(8);
+    let short = allocs_for_run(50);
+    let long = allocs_for_run(500);
+    assert_eq!(
+        short, long,
+        "allocation count must not grow with step count"
+    );
 }
 
 /// The adaptive engine's accepted-step hot loop (attempt, LTE estimate,
@@ -146,9 +142,7 @@ fn transient_step_loop_does_not_allocate() {
 /// the counts diverge.
 #[test]
 fn adaptive_step_loop_does_not_allocate() {
-    use rlcx::spice::{
-        AdaptiveOptions, Netlist, SolverEngine, Stepping, Transient, Waveform, GROUND,
-    };
+    use rlcx::spice::{AdaptiveOptions, Netlist, Stepping, Transient, Waveform, GROUND};
 
     let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
@@ -170,11 +164,10 @@ fn adaptive_step_loop_does_not_allocate() {
         nl
     }
 
-    fn allocs_for_run(engine: SolverEngine, window_ps: usize) -> u64 {
+    fn allocs_for_run(window_ps: usize) -> u64 {
         let nl = ladder(30);
         let before = thread_allocations();
         let res = Transient::new(&nl)
-            .engine(engine)
             .timestep(1e-12)
             .duration(window_ps as f64 * 1e-12)
             .stepping(Stepping::Adaptive(AdaptiveOptions::default()))
@@ -185,15 +178,13 @@ fn adaptive_step_loop_does_not_allocate() {
         after - before
     }
 
-    for engine in [SolverEngine::Dense, SolverEngine::Sparse] {
-        let _ = allocs_for_run(engine, 16); // warm lazy metric state
-        let short = allocs_for_run(engine, 200);
-        let long = allocs_for_run(engine, 800);
-        assert_eq!(
-            short, long,
-            "{engine:?}: adaptive allocation count must not grow with step count"
-        );
-    }
+    let _ = allocs_for_run(16); // warm lazy metric state
+    let short = allocs_for_run(200);
+    let long = allocs_for_run(800);
+    assert_eq!(
+        short, long,
+        "adaptive allocation count must not grow with step count"
+    );
 }
 
 /// The sharded metric store (PR 7): after a metric's first touch interns

@@ -9,6 +9,7 @@
 
 use rlcx::core::TableBuilder;
 use rlcx::geom::Stackup;
+use rlcx::numeric::with_thread_count;
 use rlcx::obs::{self, RunReport, TraceLevel};
 use rlcx::peec::MeshSpec;
 use std::sync::{Mutex, MutexGuard};
@@ -69,17 +70,15 @@ fn table_build_records_nested_spans() {
     assert!(self_pos < build_pos, "children complete before the parent");
 }
 
-/// Metrics accumulate across worker threads: a characterization forced to
-/// `RLCX_THREADS=4` must count every grid point and every PEEC solve, and
-/// the solve counter grows by at least the point count.
+/// Metrics accumulate across worker threads: a characterization pinned to
+/// 4 threads must count every grid point and every PEEC solve, and the
+/// solve counter grows by at least the point count.
 #[test]
 fn metrics_accumulate_across_threads() {
     let _guard = level_lock();
-    std::env::set_var("RLCX_THREADS", "4");
     let solves_before = obs::counter_value("peec.solves");
     let self_points_before = obs::counter_value("table.points.self");
-    small_builder().build().unwrap();
-    std::env::remove_var("RLCX_THREADS");
+    with_thread_count(4, || small_builder().build()).unwrap();
 
     // 2 widths × 2 lengths self points; every point is one PEEC solve and
     // the mutual/loop sweeps add more.
@@ -137,9 +136,7 @@ fn run_report_round_trips_through_json() {
 /// trace — the RunReport v2 payload for every CI-gated experiment.
 #[test]
 fn adaptive_run_records_series_channels() {
-    use rlcx::spice::{
-        AdaptiveOptions, Netlist, SolverEngine, Stepping, Transient, Waveform, GROUND,
-    };
+    use rlcx::spice::{AdaptiveOptions, Netlist, Stepping, Transient, Waveform, GROUND};
 
     // Serialized via level_lock: this test calls `finish()`, which honors
     // RLCX_TRACE_OUT — the env-driven export test must not interleave.
@@ -170,7 +167,6 @@ fn adaptive_run_records_series_channels() {
         pushed_before("sparse.lu.colfill"),
     );
     let res = Transient::new(&nl)
-        .engine(SolverEngine::Sparse)
         .timestep(1e-12)
         .duration(300e-12)
         .stepping(Stepping::Adaptive(AdaptiveOptions::default()))

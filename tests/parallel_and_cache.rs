@@ -5,6 +5,7 @@
 use rlcx::core::{CacheMiss, TableBuilder, TableCache};
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3, Stackup};
+use rlcx::numeric::with_thread_count;
 use rlcx::obs;
 use rlcx::peec::{Conductor, MeshSpec, PartialSystem};
 use std::path::PathBuf;
@@ -38,17 +39,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rlcx_test_{tag}_{}", std::process::id()))
 }
 
-/// Serial and parallel skin-effect solves agree bit-for-bit. `RLCX_THREADS`
-/// is flipped inside one test so no other test observes the mutation order.
+/// Serial and parallel skin-effect solves agree bit-for-bit. The thread
+/// counts are pinned with the thread-local `with_thread_count`, so no
+/// other test observes them.
 #[test]
 fn impedance_solve_is_deterministic_across_thread_counts() {
     let sys = bus(6);
     let mesh = MeshSpec::new(2, 2);
-    std::env::set_var("RLCX_THREADS", "1");
-    let (r1, l1) = sys.rl_at(3.2e9, mesh).unwrap();
-    std::env::set_var("RLCX_THREADS", "5");
-    let (rn, ln) = sys.rl_at(3.2e9, mesh).unwrap();
-    std::env::remove_var("RLCX_THREADS");
+    let (r1, l1) = with_thread_count(1, || sys.rl_at(3.2e9, mesh)).unwrap();
+    let (rn, ln) = with_thread_count(5, || sys.rl_at(3.2e9, mesh)).unwrap();
     for i in 0..6 {
         for j in 0..6 {
             assert_eq!(r1[(i, j)].to_bits(), rn[(i, j)].to_bits(), "R ({i},{j})");
