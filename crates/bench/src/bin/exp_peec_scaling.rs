@@ -1,5 +1,5 @@
 //! E12 (fast PEEC operator) — dense vs matrix-free Krylov filament solves,
-//! and H² nested bases vs flat ACA at the operator level.
+//! and the H² operator's build, matvec and memory at scale.
 //!
 //! The dense PEEC path assembles the full n×n partial-inductance matrix and
 //! LU-factors the complex filament impedance — O(n²) kernel evaluations and
@@ -13,13 +13,11 @@
 //! they agree to far beyond table accuracy.
 //!
 //! Two operator-level sections extend the sweep:
-//! * **H² vs flat ACA at 4032 filaments** — build time, matvec time and
-//!   far-field memory for both far-field representations, plus an
-//!   entrywise agreement check of the H² operator against the dense
-//!   kernel-cache-assembled `Z` apply (gated at 1e-9),
-//! * **a 10⁴-filament point (10080)** — both operators built and applied
-//!   fully in-core, with wall-clock and memory figures showing the nested
-//!   bases beating the flat factors on both axes.
+//! * **the H² operator at 4032 filaments** — build time, matvec time and
+//!   far-field memory, plus an entrywise agreement check against the
+//!   dense kernel-cache-assembled `Z` apply (gated at 1e-9),
+//! * **a 10⁴-filament point (10080)** — the operator built and applied
+//!   fully in-core, with the same wall-clock and memory figures.
 //!
 //! Gated figures (`ci/thresholds/exp_peec_scaling.json`):
 //! * `agree.max_rel_err` — backend agreement on the conductor impedance
@@ -31,8 +29,10 @@
 //! * `fastop.kernel.hit_rate` — displacement memoization eliminates almost
 //!   all kernel evaluations on regular meshes,
 //! * `h2.agree.n4032` — H² operator apply matches the dense Z apply,
-//! * `h2.matvec.speedup.n4032` / `h2.mem.ratio.n4032` — the H² far field
-//!   beats flat ACA on matvec time and memory at ≥4k filaments.
+//! * `h2.basis.rank.max` — H² cluster bases stay low-rank.
+//!
+//! `report_diff` also gates `h2.mem.mb.*`, the far-field memory at both
+//! operator points, against the committed baseline.
 //!
 //! The extension (PR 10) adds a **thread-scaling sweep** at the 10080
 //! point: the operator is built and applied at `RLCX_THREADS` ∈ {1, 2, 4,
@@ -46,7 +46,7 @@ use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3};
 use rlcx::numeric::{with_thread_count, CMatrix, Complex, LinearOperator};
 use rlcx::obs::{self, MetricValue, RunReport};
-use rlcx::peec::fastop::{FastOpOptions, FastZOperator, KernelCache};
+use rlcx::peec::fastop::{FastZOperator, KernelCache};
 use rlcx::peec::{Conductor, MeshSpec, PartialSystem, SolverBackend};
 use std::time::Instant;
 
@@ -148,63 +148,41 @@ fn time_matvec(op: &FastZOperator, x: &[Complex], reps: usize) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Builds the H² and flat-ACA operators on one meshed CPW, times builds
-/// and matvecs, reports memory, and (optionally, for sizes where the n²
-/// kernel table fits comfortably) checks the H² apply against the dense
+/// Builds the operator on one meshed CPW, times the build and the matvec,
+/// reports far-field memory, and (optionally, for sizes where the n²
+/// kernel table fits comfortably) checks the apply against the dense
 /// kernel-cache-assembled `Z` apply. Returns the H²/dense agreement (0.0
 /// when skipped).
-fn operator_shootout(report: &mut RunReport, nw: usize, nt: usize, dense_check: bool) -> f64 {
+fn operator_point(report: &mut RunReport, nw: usize, nt: usize, dense_check: bool) -> f64 {
     let mesh = MeshSpec::new(nw, nt);
     let (fils, rhos) = cpw_filaments(mesh);
     let n = fils.len();
     let omega = 2.0 * std::f64::consts::PI * F_SIG;
 
-    let kern_h2 = KernelCache::new(LENGTH);
+    let kern = KernelCache::new(LENGTH);
     let t0 = Instant::now();
-    let op_h2 = FastZOperator::new(&fils, &rhos, omega, &kern_h2, &FastOpOptions::default());
-    let build_h2 = t0.elapsed().as_secs_f64();
-
-    let kern_flat = KernelCache::new(LENGTH);
-    let t0 = Instant::now();
-    let op_flat = FastZOperator::new(&fils, &rhos, omega, &kern_flat, &FastOpOptions::flat_aca());
-    let build_flat = t0.elapsed().as_secs_f64();
+    let op = FastZOperator::new(&fils, &rhos, omega, &kern);
+    let build = t0.elapsed().as_secs_f64();
 
     let x = excitation(n);
     let reps = if n > 8000 { 5 } else { 10 };
-    let mv_h2 = time_matvec(&op_h2, &x, reps);
-    let mv_flat = time_matvec(&op_flat, &x, reps);
-    let (mem_h2, mem_flat) = (
-        op_h2.stats().far_mem_f64 as f64,
-        op_flat.stats().far_mem_f64 as f64,
-    );
+    let mv = time_matvec(&op, &x, reps);
+    let st = op.stats();
+    let mem_mb = st.far_mem_f64 as f64 * 8.0 / 1e6;
 
     println!(
-        "{:>6} {n:>10} {:>11.0} {:>11.0} {:>10.2} {:>10.2} {:>8.1}x {:>8.2}",
+        "{:>6} {n:>10} {:>10.0} {:>11.2} {mem_mb:>9.2} {:>9} {:>10} {:>8}",
         format!("{nw}x{nt}"),
-        build_flat * 1e3,
-        build_h2 * 1e3,
-        mv_flat * 1e3,
-        mv_h2 * 1e3,
-        mv_flat / mv_h2,
-        mem_h2 / mem_flat
-    );
-    println!(
-        "       far-field memory: flat {:.1} MB vs H² {:.1} MB (ranks: aca {} / h2 {}, couplings {})",
-        mem_flat * 8.0 / 1e6,
-        mem_h2 * 8.0 / 1e6,
-        op_flat.stats().max_rank,
-        op_h2.stats().h2_max_rank,
-        op_h2.stats().h2_couplings,
+        build * 1e3,
+        mv * 1e3,
+        st.h2_max_rank,
+        st.h2_couplings,
+        st.far_blocks,
     );
 
-    report.figure(format!("h2.build.s.n{n}"), build_h2);
-    report.figure(format!("flat.build.s.n{n}"), build_flat);
-    report.figure(format!("h2.matvec.s.n{n}"), mv_h2);
-    report.figure(format!("flat.matvec.s.n{n}"), mv_flat);
-    report.figure(format!("h2.mem.mb.n{n}"), mem_h2 * 8.0 / 1e6);
-    report.figure(format!("flat.mem.mb.n{n}"), mem_flat * 8.0 / 1e6);
-    report.figure(format!("h2.matvec.speedup.n{n}"), mv_flat / mv_h2);
-    report.figure(format!("h2.mem.ratio.n{n}"), mem_h2 / mem_flat);
+    report.figure(format!("h2.build.s.n{n}"), build);
+    report.figure(format!("h2.matvec.s.n{n}"), mv);
+    report.figure(format!("h2.mem.mb.n{n}"), mem_mb);
 
     if !dense_check {
         return 0.0;
@@ -213,7 +191,7 @@ fn operator_shootout(report: &mut RunReport, nw: usize, nt: usize, dense_check: 
     // same way the operator applies it.
     let rows: Vec<usize> = (0..n).collect();
     let mut k = vec![0.0f64; n * n];
-    kern_h2.fill_block(&fils, &rows, &rows, &mut k);
+    kern.fill_block(&fils, &rows, &rows, &mut k);
     let mut w = vec![Complex::ZERO; n];
     for (i, wi) in w.iter_mut().enumerate() {
         let krow = &k[i * n..(i + 1) * n];
@@ -223,12 +201,12 @@ fn operator_shootout(report: &mut RunReport, nw: usize, nt: usize, dense_check: 
         }
         *wi = acc;
     }
-    let r = op_h2.resistances();
+    let r = op.resistances();
     let y_dense: Vec<Complex> = (0..n)
         .map(|i| x[i].scale(r[i]) + Complex::new(-omega * w[i].im, omega * w[i].re))
         .collect();
     let mut y_h2 = vec![Complex::ZERO; n];
-    op_h2.apply(&x, &mut y_h2);
+    op.apply(&x, &mut y_h2);
     let scale = y_dense.iter().map(|v| v.abs()).fold(0.0, f64::max);
     let agree = y_h2
         .iter()
@@ -264,7 +242,7 @@ fn thread_sweep(report: &mut RunReport, nw: usize, nt: usize) {
         let (build_s, mv_s, y) = with_thread_count(t, || {
             let kern = KernelCache::new(LENGTH);
             let t0 = Instant::now();
-            let op = FastZOperator::new(&fils, &rhos, omega, &kern, &FastOpOptions::default());
+            let op = FastZOperator::new(&fils, &rhos, omega, &kern);
             let build_s = t0.elapsed().as_secs_f64();
             let mv_s = time_matvec(&op, &x, 5);
             let mut y = vec![Complex::ZERO; n];
@@ -341,14 +319,14 @@ fn main() {
         report.figure(format!("agree.n{n}"), err);
     }
 
-    // Operator-level far-field shootout: H² nested bases vs flat ACA.
-    println!("\nH² nested bases vs flat ACA (operator level)");
+    // Operator level: the H² far field at 4k and 10k filaments.
+    println!("\nH² operator (operator level)");
     println!(
-        "{:>6} {:>10} {:>11} {:>11} {:>10} {:>10} {:>9} {:>8}",
-        "mesh", "filaments", "flat b(ms)", "h2 b(ms)", "flat mv", "h2 mv", "speedup", "mem r"
+        "{:>6} {:>10} {:>10} {:>11} {:>9} {:>9} {:>10} {:>8}",
+        "mesh", "filaments", "build(ms)", "matvec(ms)", "far MB", "h2 rank", "couplings", "aca blk"
     );
-    let h2_agree = operator_shootout(&mut report, 42, 32, true); // 4032, dense-gated
-    operator_shootout(&mut report, 60, 56, false); // 10080: the 10⁴ in-core point
+    let h2_agree = operator_point(&mut report, 42, 32, true); // 4032, dense-gated
+    operator_point(&mut report, 60, 56, false); // 10080: the 10⁴ in-core point
 
     thread_sweep(&mut report, 60, 56); // the same 10⁴ point across thread counts
 

@@ -1,6 +1,7 @@
 //! Matrix-free fast PEEC operator: translation-invariance kernel caching,
-//! hierarchical low-rank far-field compression (flat ACA or H² nested
-//! bases) and a block-diagonal preconditioner for the GMRES solve path.
+//! hierarchical low-rank far-field compression (H² nested bases, with ACA
+//! blocks for the pairs the H² test rejects) and a block-diagonal
+//! preconditioner for the GMRES solve path.
 //!
 //! The dense path in [`crate::solver`] assembles the full `n × n` filament
 //! impedance matrix (`n²` closed-form kernel evaluations) and factors it
@@ -17,17 +18,14 @@
 //! * **Near/far splitting** ([`FastZOperator`]) — a bisection cluster
 //!   tree over cross-section centers partitions the interaction matrix;
 //!   blocks whose clusters are well separated (gap ≥ η·max diam) are
-//!   compressed, everything else stays exact. Two far-field
-//!   representations exist, selected by [`Compression`]:
-//!   [`Compression::FlatAca`] gives every admissible block its own
-//!   low-rank `U·Vᵀ` factor by adaptive cross approximation (`O(n log n)`
-//!   far memory), while the default [`Compression::H2`] routes admissible
-//!   pairs whose gap also clears `4×` the largest cross-section dimension
-//!   (so every filament pair is in the far GMD branch) into an H²
-//!   structure with *nested* per-cluster bases and tiny skeleton coupling
-//!   matrices — see [`crate::h2`] — dropping far-field memory and matvec
-//!   cost toward `O(n)`. Admissible pairs too close for the all-far
-//!   guarantee keep the flat ACA treatment. The operator then applies
+//!   compressed, everything else stays exact. Admissible pairs whose gap
+//!   also clears `4×` the largest cross-section dimension (so every
+//!   filament pair is in the far GMD branch) go into an H² structure with
+//!   *nested* per-cluster bases and tiny skeleton coupling matrices — see
+//!   [`crate::h2`] — which keeps far-field memory and matvec cost near
+//!   `O(n)`. Admissible pairs too close for the all-far guarantee get
+//!   their own low-rank `U·Vᵀ` factor by adaptive cross approximation.
+//!   The operator then applies
 //!   `Z·x = R∘x + jω(Lp·x)` without ever forming `Lp`.
 //! * **Preconditioning** ([`BlockDiagPrecond`]) — the per-conductor
 //!   diagonal blocks of `Z` (the dominant couplings) are factored exactly
@@ -39,10 +37,12 @@
 //!   and stable for this class (Higham 1998).
 //!
 //! [`SolverBackend`] selects between this path and the dense one;
-//! [`SolverBackend::Auto`] keeps dense below [`iterative_cutover`]
-//! filaments (default [`ITERATIVE_CUTOVER`], overridable via the
-//! `RLCX_PEEC_CUTOVER` environment variable) so all pre-existing results
-//! stay bit-identical.
+//! [`SolverBackend::Auto`] keeps dense below [`ITERATIVE_CUTOVER`]
+//! filaments so all pre-existing results stay bit-identical.
+//!
+//! The operator has one fixed configuration (private constants): leaf
+//! size 48, admissibility `η = 1`, ACA / skeleton tolerance 1e-10, rank
+//! cap 96 and an H² far-field sample budget of 256 per cluster.
 //!
 //! Metrics: `fastop.kernel.hits` / `fastop.kernel.misses` and
 //! `aca.rank_cap.hits` (counters), `aca.rank` / `h2.basis.rank`
@@ -62,7 +62,7 @@ use rlcx_numeric::pool::{self, SendPtr};
 use rlcx_numeric::{obs, par_for_threads, par_map, thread_count, CMatrix, Complex};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Which engine [`crate::PartialSystem`] uses for the filament-level solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,52 +71,17 @@ pub enum SolverBackend {
     Dense,
     /// Always use the matrix-free GMRES path.
     Iterative,
-    /// Dense below [`iterative_cutover`] filaments (bit-identical to the
+    /// Dense below [`ITERATIVE_CUTOVER`] filaments (bit-identical to the
     /// pre-existing dense results), iterative above.
     #[default]
     Auto,
 }
 
-/// Default filament count at which [`SolverBackend::Auto`] switches to the
+/// Filament count at which [`SolverBackend::Auto`] switches to the
 /// iterative path. Below this the dense LU is fast and its results are the
 /// historical reference; above it the O(n³) factor dominates and the
-/// Krylov path wins. Override per process with the `RLCX_PEEC_CUTOVER`
-/// environment variable — see [`iterative_cutover`].
+/// Krylov path wins.
 pub const ITERATIVE_CUTOVER: usize = 420;
-
-/// The effective [`SolverBackend::Auto`] cutover: `RLCX_PEEC_CUTOVER` when
-/// set to a positive integer, [`ITERATIVE_CUTOVER`] otherwise. Kernel and
-/// factorization costs shift the dense/iterative crossover per machine, so
-/// deployments can tune it without a rebuild. Invalid values warn once on
-/// stderr and fall back to the default; the variable is read once per
-/// process.
-pub fn iterative_cutover() -> usize {
-    static CUTOVER: OnceLock<usize> = OnceLock::new();
-    *CUTOVER.get_or_init(|| cutover_from(std::env::var("RLCX_PEEC_CUTOVER").ok().as_deref()))
-}
-
-/// Pure parsing core of [`iterative_cutover`]: `None` or an empty string
-/// means "unset", anything that is not a positive integer is rejected with
-/// a warning.
-fn cutover_from(raw: Option<&str>) -> usize {
-    let Some(s) = raw else {
-        return ITERATIVE_CUTOVER;
-    };
-    let trimmed = s.trim();
-    if trimmed.is_empty() {
-        return ITERATIVE_CUTOVER;
-    }
-    match trimmed.parse::<usize>() {
-        Ok(v) if v >= 1 => v,
-        _ => {
-            eprintln!(
-                "rlcx: ignoring invalid RLCX_PEEC_CUTOVER={s:?} \
-                 (expected a positive integer); using default {ITERATIVE_CUTOVER}"
-            );
-            ITERATIVE_CUTOVER
-        }
-    }
-}
 
 impl SolverBackend {
     /// Resolves the backend choice for a system of `n_filaments`.
@@ -124,7 +89,7 @@ impl SolverBackend {
         match self {
             SolverBackend::Dense => false,
             SolverBackend::Iterative => true,
-            SolverBackend::Auto => n_filaments >= iterative_cutover(),
+            SolverBackend::Auto => n_filaments >= ITERATIVE_CUTOVER,
         }
     }
 
@@ -138,63 +103,23 @@ impl SolverBackend {
     }
 }
 
-/// Far-field representation used by [`FastZOperator`] for admissible
-/// cluster pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// Flat H-matrix: every admissible block stores its own ACA `U·Vᵀ`
-    /// factor.
-    FlatAca,
-    /// H² nested bases: one skeleton basis per cluster (children reused
-    /// through transfer operators) plus small per-pair coupling matrices;
-    /// admissible pairs that fail the stricter all-far-branch test stay on
-    /// the flat ACA path.
-    #[default]
-    H2,
-}
+/// Cluster-tree leaf size (filaments per undivided cluster).
+const LEAF_SIZE: usize = 48;
 
-/// Tuning knobs for [`FastZOperator`].
-#[derive(Debug, Clone, Copy)]
-pub struct FastOpOptions {
-    /// Cluster-tree leaf size (filaments per undivided cluster).
-    pub leaf_size: usize,
-    /// Admissibility parameter: clusters are far when their bounding-box
-    /// gap is at least `eta ×` the larger box diameter.
-    pub eta: f64,
-    /// ACA / H² skeleton stopping tolerance relative to the estimated
-    /// block (or sampled far-field) norm.
-    pub aca_tol: f64,
-    /// Rank cap per far block and per H² cluster basis; ACA blocks that
-    /// fail to converge within it fall back to exact storage.
-    pub max_rank: usize,
-    /// Far-field representation for admissible pairs.
-    pub compression: Compression,
-    /// Far-field sample budget per cluster for the H² skeleton build.
-    pub h2_sample_cap: usize,
-}
+/// Admissibility parameter: clusters are far when their bounding-box gap
+/// is at least `ETA ×` the larger box diameter.
+const ETA: f64 = 1.0;
 
-impl Default for FastOpOptions {
-    fn default() -> Self {
-        FastOpOptions {
-            leaf_size: 48,
-            eta: 1.0,
-            aca_tol: 1e-10,
-            max_rank: 96,
-            compression: Compression::H2,
-            h2_sample_cap: 256,
-        }
-    }
-}
+/// ACA / H² skeleton stopping tolerance relative to the estimated block
+/// (or sampled far-field) norm.
+pub(crate) const ACA_TOL: f64 = 1e-10;
 
-impl FastOpOptions {
-    /// Default options with the flat-ACA far field (the pre-H² behaviour).
-    pub fn flat_aca() -> Self {
-        FastOpOptions {
-            compression: Compression::FlatAca,
-            ..FastOpOptions::default()
-        }
-    }
-}
+/// Rank cap per ACA block and per H² cluster basis; ACA blocks that fail
+/// to converge within it fall back to exact storage.
+pub(crate) const MAX_RANK: usize = 96;
+
+/// Far-field sample budget per cluster for the H² skeleton build.
+pub(crate) const H2_SAMPLE_CAP: usize = 256;
 
 /// Memoizes partial-inductance kernel evaluations by relative placement.
 ///
@@ -594,11 +519,12 @@ pub struct FastOpStats {
     pub kernel_hits: u64,
     /// Kernel-cache misses (distinct kernels actually evaluated).
     pub kernel_misses: u64,
-    /// Largest ACA rank over all flat far blocks.
+    /// Largest ACA rank over all ACA far blocks.
     pub max_rank: usize,
     /// Exact blocks stored.
     pub near_blocks: usize,
-    /// Flat-ACA compressed blocks stored.
+    /// ACA-compressed `U·Vᵀ` blocks stored (admissible pairs that fail the
+    /// H² all-far test).
     pub far_blocks: usize,
     /// ACA runs that reached the rank cap (whether or not the final step
     /// converged).
@@ -607,9 +533,9 @@ pub struct FastOpStats {
     /// were stored exactly.
     pub dense_fallbacks: usize,
     /// Fraction of the full `n²` interaction pairs covered by compressed
-    /// (flat or H²) far blocks.
+    /// (ACA or H²) far blocks.
     pub compressed_fraction: f64,
-    /// Total `f64`s stored by the far field (flat `U`/`V` factors plus H²
+    /// Total `f64`s stored by the far field (ACA `U`/`V` factors plus H²
     /// bases, transfers and couplings).
     pub far_mem_f64: usize,
     /// Admissible pairs stored as H² couplings.
@@ -655,13 +581,7 @@ impl FastZOperator {
     /// every result scattered back in index order. Each unit is a pure
     /// computation (kernel values are pure functions of their keys), so
     /// the assembled operator is bit-identical for any `RLCX_THREADS`.
-    pub fn new(
-        fils: &[Bar],
-        rhos: &[f64],
-        omega: f64,
-        kernel: &KernelCache,
-        opts: &FastOpOptions,
-    ) -> Self {
+    pub fn new(fils: &[Bar], rhos: &[f64], omega: f64, kernel: &KernelCache) -> Self {
         let n = fils.len();
         let r: Vec<f64> = fils
             .iter()
@@ -677,7 +597,7 @@ impl FastZOperator {
             })
             .collect();
         let dims: Vec<f64> = fils.iter().map(|f| f.width().max(f.thickness())).collect();
-        let tree = ClusterTree::build(&pts, &dims, opts.leaf_size);
+        let tree = ClusterTree::build(&pts, &dims, LEAF_SIZE);
 
         let mut diag_leaves: Vec<usize> = Vec::new();
         let mut near_pairs: Vec<(usize, usize)> = Vec::new();
@@ -686,7 +606,6 @@ impl FastZOperator {
         collect_diag(
             &tree,
             0,
-            opts,
             &mut diag_leaves,
             &mut near_pairs,
             &mut far_pairs,
@@ -720,7 +639,7 @@ impl FastZOperator {
         // steps come out exactly as the serial build emitted them.
         let aca_blocks: Vec<(Option<FarBlock>, bool)> = par_map(far_pairs.len(), |pi| {
             let (a, b) = far_pairs[pi];
-            aca_block(tree.indices(a), tree.indices(b), fils, kernel, opts)
+            aca_block(tree.indices(a), tree.indices(b), fils, kernel)
         });
         let mut far = Vec::new();
         let mut far_covered = 0usize;
@@ -746,12 +665,7 @@ impl FastZOperator {
         let h2_field = if h2_pairs.is_empty() {
             None
         } else {
-            let params = h2::H2Params {
-                tol: opts.aca_tol,
-                max_rank: opts.max_rank,
-                sample_cap: opts.h2_sample_cap.max(1),
-            };
-            let field = h2::build(&tree, &h2_pairs, &pts, kernel.length_um(), &params);
+            let field = h2::build(&tree, &h2_pairs, &pts, kernel.length_um());
             for &(a, b) in &h2_pairs {
                 far_covered += tree.len(a) * tree.len(b);
             }
@@ -817,11 +731,9 @@ fn dense_block(rows: &[usize], cols: &[usize], fils: &[Bar], kernel: &KernelCach
 
 /// Walks the diagonal of the block cluster tree, collecting exact leaf
 /// diagonal blocks and delegating off-diagonal pairs to [`collect_pair`].
-#[allow(clippy::too_many_arguments)]
 fn collect_diag(
     tree: &ClusterTree,
     c: usize,
-    opts: &FastOpOptions,
     diag: &mut Vec<usize>,
     near: &mut Vec<(usize, usize)>,
     far: &mut Vec<(usize, usize)>,
@@ -830,9 +742,9 @@ fn collect_diag(
     match tree.children(c) {
         None => diag.push(c),
         Some((l, r)) => {
-            collect_diag(tree, l, opts, diag, near, far, h2);
-            collect_diag(tree, r, opts, diag, near, far, h2);
-            collect_pair(tree, l, r, opts, near, far, h2);
+            collect_diag(tree, l, diag, near, far, h2);
+            collect_diag(tree, r, diag, near, far, h2);
+            collect_pair(tree, l, r, near, far, h2);
         }
     }
 }
@@ -842,27 +754,25 @@ fn collect_diag(
 /// orientation; the apply loop adds the transpose contribution.
 ///
 /// Admissible pairs whose gap also *strictly* clears `4×` the largest
-/// member cross-section dimension go to the H² list when enabled: the
+/// member cross-section dimension go to the H² list: the
 /// center distance of every filament pair in such a block then exceeds the
 /// [`gmd::cross_section_is_far`] threshold, so the whole block lives in
 /// the smooth far-branch kernel the nested bases are built on. Admissible
-/// pairs without that guarantee keep the flat ACA treatment.
-#[allow(clippy::too_many_arguments)]
+/// pairs without that guarantee get an ACA block.
 fn collect_pair(
     tree: &ClusterTree,
     a: usize,
     b: usize,
-    opts: &FastOpOptions,
     near: &mut Vec<(usize, usize)>,
     far: &mut Vec<(usize, usize)>,
     h2: &mut Vec<(usize, usize)>,
 ) {
     let gap = tree.gap(a, b);
-    let admissible = gap >= opts.eta * tree.diameter(a).max(tree.diameter(b))
-        && tree.len(a).min(tree.len(b)) >= 16;
+    let admissible =
+        gap >= ETA * tree.diameter(a).max(tree.diameter(b)) && tree.len(a).min(tree.len(b)) >= 16;
     if admissible {
         let all_far = gap > 4.0 * tree.smax(a).max(tree.smax(b));
-        if opts.compression == Compression::H2 && all_far {
+        if all_far {
             h2.push((a, b));
         } else {
             far.push((a, b));
@@ -872,35 +782,34 @@ fn collect_pair(
     match (tree.children(a), tree.children(b)) {
         (None, None) => near.push((a, b)),
         (Some((a1, a2)), None) => {
-            collect_pair(tree, a1, b, opts, near, far, h2);
-            collect_pair(tree, a2, b, opts, near, far, h2);
+            collect_pair(tree, a1, b, near, far, h2);
+            collect_pair(tree, a2, b, near, far, h2);
         }
         (None, Some((b1, b2))) => {
-            collect_pair(tree, a, b1, opts, near, far, h2);
-            collect_pair(tree, a, b2, opts, near, far, h2);
+            collect_pair(tree, a, b1, near, far, h2);
+            collect_pair(tree, a, b2, near, far, h2);
         }
         (Some((a1, a2)), Some((b1, b2))) => {
-            collect_pair(tree, a1, b1, opts, near, far, h2);
-            collect_pair(tree, a1, b2, opts, near, far, h2);
-            collect_pair(tree, a2, b1, opts, near, far, h2);
-            collect_pair(tree, a2, b2, opts, near, far, h2);
+            collect_pair(tree, a1, b1, near, far, h2);
+            collect_pair(tree, a1, b2, near, far, h2);
+            collect_pair(tree, a2, b1, near, far, h2);
+            collect_pair(tree, a2, b2, near, far, h2);
         }
     }
 }
 
 /// Compresses the `rows × cols` kernel block with partially pivoted ACA.
-/// Returns `(None, _)` when the block fails to reach `aca_tol` within
-/// `max_rank` terms (the caller stores it exactly instead); the second
+/// Returns `(None, _)` when the block fails to reach [`ACA_TOL`] within
+/// [`MAX_RANK`] terms (the caller stores it exactly instead); the second
 /// element reports whether the run reached the rank cap at all.
 fn aca_block(
     rows: &[usize],
     cols: &[usize],
     fils: &[Bar],
     kernel: &KernelCache,
-    opts: &FastOpOptions,
 ) -> (Option<FarBlock>, bool) {
     let (nr, nc) = (rows.len(), cols.len());
-    let max_rank = opts.max_rank.min(nr.min(nc));
+    let max_rank = MAX_RANK.min(nr.min(nc));
     let mut us: Vec<Vec<f64>> = Vec::new();
     let mut vs: Vec<Vec<f64>> = Vec::new();
     let mut row_used = vec![false; nr];
@@ -960,7 +869,7 @@ fn aca_block(
         let step = (unorm2 * vnorm2).sqrt();
         us.push(u);
         vs.push(v);
-        if step <= opts.aca_tol * norm2_est.sqrt() {
+        if step <= ACA_TOL * norm2_est.sqrt() {
             converged = true;
             break;
         }
@@ -1012,7 +921,7 @@ impl LinearOperator<Complex> for FastZOperator {
     }
 
     /// `y = R∘x + jω·(Lp·x)` with `Lp` applied block-wise: exact blocks
-    /// (and their transposes), `U(Vᵀx)` for flat-compressed blocks, and
+    /// (and their transposes), `U(Vᵀx)` for ACA blocks, and
     /// the H² upward/coupling/downward passes for nested-basis pairs.
     ///
     /// Parallel and deterministic: every near/far block accumulates into
@@ -1410,7 +1319,6 @@ mod tests {
         // increasing separation — the interaction becomes smoother, so the
         // ACA rank must stay far below min(nr, nc) = 36 and shrink (weakly)
         // with distance.
-        let opts = FastOpOptions::default();
         let mut last_rank = usize::MAX - 2;
         for sep in [40.0, 160.0, 640.0] {
             let (fils, _) = two_bundles(sep);
@@ -1420,7 +1328,7 @@ mod tests {
             assert_eq!(tree.len(a), 36);
             assert!(tree.gap(a, b) >= tree.diameter(a).max(tree.diameter(b)));
             let kernel = KernelCache::new(1000.0);
-            let (fb, capped) = aca_block(tree.indices(a), tree.indices(b), &fils, &kernel, &opts);
+            let (fb, capped) = aca_block(tree.indices(a), tree.indices(b), &fils, &kernel);
             let fb = fb.expect("ACA must converge");
             assert!(!capped);
             assert!(fb.rank <= 18, "sep {sep}: rank {} too large", fb.rank);
@@ -1453,29 +1361,42 @@ mod tests {
 
     #[test]
     fn fast_operator_matches_dense_apply() {
-        // Default options → H² far field. The bundles sit 30 µm apart with
-        // 0.9 µm cross-sections, so the admissible pair clears the 4×
-        // all-far test and must be stored as H² couplings.
-        let (fils, rhos) = two_bundles(30.0);
+        // Two operators. (1) Two bundles 30 µm apart with 0.9 µm
+        // cross-sections: the admissible pair clears the 4× all-far test
+        // and must be stored as H² couplings. (2) Two pairs of 2×24-filament
+        // bars (2 × 0.25 µm filaments, centre spread 6.1 µm): within a pair
+        // the 7 µm centre-box gap is admissible but not beyond 4× the 2 µm
+        // filament width, so it is an ACA `U·Vᵀ` block, while the pairs,
+        // 100 µm apart, couple through H².
+        let mut bar_pairs = Vec::new();
+        for y in [0.0, 9.0, 100.0, 109.0] {
+            let bar = Bar::new(Point3::new(0.0, y, 10.0), Axis::X, 1000.0, 4.0, 6.0).unwrap();
+            bar_pairs.extend(crate::mesh::MeshSpec::new(2, 24).filaments(&bar));
+        }
         let omega = 2.0 * std::f64::consts::PI * 3.2e9;
-        let kernel = KernelCache::new(1000.0);
-        let op = FastZOperator::new(&fils, &rhos, omega, &kernel, &FastOpOptions::default());
-        assert!(
-            op.stats().h2_couplings > 0,
-            "expected the far pair on the H² path"
-        );
-        let z = dense_z(&fils, &rhos, omega);
-        let n = fils.len();
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.71).cos()))
-            .collect();
-        let mut y_fast = vec![Complex::ZERO; n];
-        let mut y_dense = vec![Complex::ZERO; n];
-        op.apply(&x, &mut y_fast);
-        z.apply(&x, &mut y_dense);
-        let scale = y_dense.iter().map(|v| v.abs()).fold(0.0, f64::max);
-        for (f, d) in y_fast.iter().zip(&y_dense) {
-            assert!((*f - *d).abs() <= 1e-9 * scale, "{f} vs {d}");
+        for (fils, want_aca) in [(two_bundles(30.0).0, false), (bar_pairs, true)] {
+            let rhos = vec![RHO_COPPER; fils.len()];
+            let kernel = KernelCache::new(1000.0);
+            let op = FastZOperator::new(&fils, &rhos, omega, &kernel);
+            let st = op.stats();
+            assert!(st.h2_couplings > 0, "expected H² couplings: {st:?}");
+            assert!(
+                !want_aca || st.far_blocks > 0,
+                "expected ACA blocks: {st:?}"
+            );
+            let z = dense_z(&fils, &rhos, omega);
+            let n = fils.len();
+            let x: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.71).cos()))
+                .collect();
+            let mut y_fast = vec![Complex::ZERO; n];
+            let mut y_dense = vec![Complex::ZERO; n];
+            op.apply(&x, &mut y_fast);
+            z.apply(&x, &mut y_dense);
+            let scale = y_dense.iter().map(|v| v.abs()).fold(0.0, f64::max);
+            for (f, d) in y_fast.iter().zip(&y_dense) {
+                assert!((*f - *d).abs() <= 1e-9 * scale, "{f} vs {d}");
+            }
         }
     }
 
@@ -1529,85 +1450,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_aca_operator_matches_dense_apply() {
-        // The pre-H² far field stays available and correct.
-        let (fils, rhos) = two_bundles(30.0);
-        let omega = 2.0 * std::f64::consts::PI * 3.2e9;
-        let kernel = KernelCache::new(1000.0);
-        let op = FastZOperator::new(&fils, &rhos, omega, &kernel, &FastOpOptions::flat_aca());
-        assert_eq!(op.stats().h2_couplings, 0);
-        assert!(op.stats().far_blocks > 0);
-        let z = dense_z(&fils, &rhos, omega);
-        let n = fils.len();
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64 * 0.53).cos(), (i as f64 * 0.29).sin()))
-            .collect();
-        let mut y_fast = vec![Complex::ZERO; n];
-        let mut y_dense = vec![Complex::ZERO; n];
-        op.apply(&x, &mut y_fast);
-        z.apply(&x, &mut y_dense);
-        let scale = y_dense.iter().map(|v| v.abs()).fold(0.0, f64::max);
-        for (f, d) in y_fast.iter().zip(&y_dense) {
-            assert!((*f - *d).abs() <= 1e-9 * scale, "{f} vs {d}");
-        }
-    }
-
-    #[test]
-    fn h2_memory_beats_flat_aca_on_far_field() {
-        // The point of nested bases: fewer stored f64s for the same far
-        // field. Four bundles in a row give several admissible pairs.
-        let mut fils = Vec::new();
-        for base in [0.0, 30.0, 60.0, 90.0] {
-            for i in 0..6 {
-                for j in 0..6 {
-                    fils.push(
-                        Bar::new(
-                            Point3::new(0.0, base + i as f64, 10.0 + j as f64),
-                            Axis::X,
-                            1000.0,
-                            0.9,
-                            0.9,
-                        )
-                        .unwrap(),
-                    );
-                }
-            }
-        }
-        let rhos = vec![RHO_COPPER; fils.len()];
-        let omega = 2.0 * std::f64::consts::PI * 3.2e9;
-        let k1 = KernelCache::new(1000.0);
-        let h2_op = FastZOperator::new(&fils, &rhos, omega, &k1, &FastOpOptions::default());
-        let k2 = KernelCache::new(1000.0);
-        let flat_op = FastZOperator::new(&fils, &rhos, omega, &k2, &FastOpOptions::flat_aca());
-        assert!(h2_op.stats().h2_couplings > 0);
-        assert!(
-            h2_op.stats().far_mem_f64 < flat_op.stats().far_mem_f64,
-            "H² {} f64 vs flat {} f64",
-            h2_op.stats().far_mem_f64,
-            flat_op.stats().far_mem_f64
-        );
-    }
-
-    #[test]
     fn backend_cutover_policy() {
         assert!(!SolverBackend::Dense.is_iterative(100_000));
         assert!(SolverBackend::Iterative.is_iterative(4));
         assert!(!SolverBackend::Auto.is_iterative(ITERATIVE_CUTOVER - 1));
         assert!(SolverBackend::Auto.is_iterative(ITERATIVE_CUTOVER));
         assert_eq!(SolverBackend::Auto.name(), "auto");
-    }
-
-    #[test]
-    fn cutover_env_parsing() {
-        assert_eq!(cutover_from(None), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("  ")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("64")), 64);
-        assert_eq!(cutover_from(Some(" 1000 ")), 1000);
-        assert_eq!(cutover_from(Some("0")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("-5")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("fast")), ITERATIVE_CUTOVER);
-        assert_eq!(cutover_from(Some("4.2e3")), ITERATIVE_CUTOVER);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! H² nested-basis far-field compression for the fast PEEC operator.
 //!
-//! The flat H-matrix path in [`crate::fastop`] stores every admissible
-//! cluster pair as its own ACA `U·Vᵀ` factor — `O(n log n)` far-field
-//! memory, because a filament near the middle of the mesh appears in
-//! `O(log n)` far blocks and each block carries its own row basis. The H²
-//! representation removes that redundancy with *nested total cluster
-//! bases*:
+//! A flat H-matrix stores every admissible cluster pair as its own ACA
+//! `U·Vᵀ` factor — `O(n log n)` far-field memory, because a filament near
+//! the middle of the mesh appears in `O(log n)` far blocks and each block
+//! carries its own row basis. The H² representation in [`crate::fastop`]
+//! removes that redundancy with *nested total cluster bases*:
 //!
 //! * every cluster `c` that takes part in (or inherits) an admissible
 //!   interaction gets one basis `U_c` that covers its **entire** far field
@@ -25,35 +24,25 @@
 //! of its children's skeletons — and the coupling matrix is just the kernel
 //! evaluated between skeletons: `S_ab = K(J_a, J_b)`.
 //!
-//! Admissibility here is stricter than the flat path's: a pair must also
+//! Admissibility here is stricter than the ACA blocks': a pair must also
 //! satisfy `gap > 4·max(s_a, s_b)` (the per-cluster maximum cross-section
 //! dimension), which guarantees **every** filament pair in the block takes
 //! the far GMD branch of [`crate::gmd::cross_section_is_far`]. The kernel
 //! over such a block is exactly the aligned-filament formula at the center
 //! distance — a smooth, cheap function the sampling can evaluate millions
 //! of times.
-//! Admissible pairs that fail the all-far test stay on the flat ACA path.
+//! Admissible pairs that fail the all-far test get an ACA block in
+//! [`crate::fastop`] instead.
 //!
 //! Observability: every accepted basis pushes its rank to the `h2.rank`
 //! series channel (step = cluster level) and the `h2.basis.rank` histogram
 //! (its p99 is gated in CI via `report_diff`).
 
-use crate::fastop::ClusterTree;
+use crate::fastop::{ClusterTree, ACA_TOL, H2_SAMPLE_CAP, MAX_RANK};
 use crate::partial::mutual_filaments_aligned_m;
 use rlcx_geom::units::um_to_m;
 use rlcx_numeric::pool::SendPtr;
 use rlcx_numeric::{obs, par_for_threads, par_map, Complex};
-
-/// Tuning knobs of the H² build, derived from
-/// [`crate::fastop::FastOpOptions`].
-pub(crate) struct H2Params {
-    /// Skeleton truncation tolerance, relative to the first pivot norm.
-    pub tol: f64,
-    /// Rank cap per cluster basis.
-    pub max_rank: usize,
-    /// Far-field sample budget per cluster (columns of the ID matrix).
-    pub sample_cap: usize,
-}
 
 /// One cluster basis: the skeleton filament ids plus either an explicit
 /// leaf interpolation or the pair of child transfer matrices.
@@ -286,7 +275,6 @@ pub(crate) fn build(
     pairs: &[(usize, usize)],
     centers: &[(f64, f64)],
     length_um: f64,
-    params: &H2Params,
 ) -> H2Field {
     let l_m = um_to_m(length_um);
     let g = |i: usize, j: usize| {
@@ -323,7 +311,7 @@ pub(crate) fn build(
             let inherited = farfield[parent[c]].clone();
             f.extend_from_slice(&inherited);
         }
-        subsample_in_place(&mut f, params.sample_cap);
+        subsample_in_place(&mut f, H2_SAMPLE_CAP);
         farfield[c] = f;
     }
 
@@ -366,7 +354,7 @@ pub(crate) fn build(
                     a[r * s + q] = g(i, j);
                 }
             }
-            let (piv, interp) = row_id(&a, m, s, params.tol, params.max_rank);
+            let (piv, interp) = row_id(&a, m, s, ACA_TOL, MAX_RANK);
             let rank = piv.len();
             debug_assert!(rank > 0, "positive kernel must yield a nonzero basis");
             let skel: Vec<usize> = piv.iter().map(|&r| cand[r]).collect();

@@ -16,9 +16,11 @@
 //!   filament-level complex impedance solve,
 //! * [`fastop`] — the matrix-free fast path behind [`SolverBackend`]:
 //!   translation-invariance kernel caching, cluster-tree near/far
-//!   splitting with an H² nested-basis far field (flat ACA for blocks not
-//!   strictly beyond the GMD far threshold), and a block-diagonal
-//!   preconditioner for the `rlcx_numeric::gmres` Krylov solve,
+//!   splitting with an H² nested-basis far field (ACA blocks for pairs not
+//!   strictly beyond the GMD far threshold) in one fixed configuration,
+//!   and a block-diagonal preconditioner for the `rlcx_numeric::gmres`
+//!   Krylov solve; [`SolverBackend::Auto`] switches to it at
+//!   [`ITERATIVE_CUTOVER`] filaments,
 //! * [`loop_l`] — loop-inductance reduction with the paper's *merged ground
 //!   node at the far end* convention, plus ground-plane strip meshing and
 //!   the [`BlockExtractor`] convenience layer used by the table builder,
@@ -59,7 +61,7 @@ pub mod tree_solver;
 mod error;
 
 pub use error::PeecError;
-pub use fastop::{iterative_cutover, Compression, FastOpOptions, SolverBackend, ITERATIVE_CUTOVER};
+pub use fastop::{SolverBackend, ITERATIVE_CUTOVER};
 pub use loop_l::{BlockExtraction, BlockExtractor, PlaneSpec};
 pub use mesh::MeshSpec;
 pub use network::{AcNetwork, Branch};

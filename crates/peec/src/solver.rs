@@ -7,9 +7,7 @@
 //! * the frequency-dependent conductor impedance matrix `Z(ω)` including
 //!   skin and proximity effects, via the volume-filament solve.
 
-use crate::fastop::{
-    self, BlockDiagPrecond, FastOpOptions, FastZOperator, KernelCache, SolverBackend,
-};
+use crate::fastop::{self, BlockDiagPrecond, FastZOperator, KernelCache, SolverBackend};
 use crate::mesh::MeshSpec;
 use crate::partial::{dc_resistance, mutual_partial, self_partial};
 use crate::{PeecError, Result};
@@ -171,6 +169,10 @@ impl PartialSystem {
     /// plane strips whose current distribution the strip decomposition
     /// already resolves).
     ///
+    /// Uses [`SolverBackend::Auto`]: dense below
+    /// [`crate::fastop::ITERATIVE_CUTOVER`] filaments (bit-identical to the
+    /// historical dense-only behaviour), the matrix-free GMRES path above.
+    ///
     /// # Errors
     ///
     /// Same as [`PartialSystem::impedance_at`].
@@ -180,27 +182,7 @@ impl PartialSystem {
         mesh_for: impl Fn(usize) -> MeshSpec,
     ) -> Result<CMatrix> {
         let mut scratch = Timings::new();
-        self.impedance_at_with_timings(f, mesh_for, &mut scratch)
-    }
-
-    /// [`PartialSystem::impedance_at_with`] with per-stage timing: `mesh`,
-    /// `assemble` (filament Z fill), `factor` (LU inverse) and `reduce`
-    /// (conductor-level admittance collapse) are accumulated into `timings`.
-    ///
-    /// Uses [`SolverBackend::Auto`]: dense below
-    /// [`crate::fastop::ITERATIVE_CUTOVER`] filaments (bit-identical to the
-    /// historical dense-only behaviour), the matrix-free GMRES path above.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PartialSystem::impedance_at`].
-    pub fn impedance_at_with_timings(
-        &self,
-        f: f64,
-        mesh_for: impl Fn(usize) -> MeshSpec,
-        timings: &mut Timings,
-    ) -> Result<CMatrix> {
-        self.impedance_at_backend(f, mesh_for, SolverBackend::Auto, timings)
+        self.impedance_at_backend(f, mesh_for, SolverBackend::Auto, &mut scratch)
     }
 
     /// [`PartialSystem::impedance_at_with`] with an explicit
@@ -307,7 +289,7 @@ impl PartialSystem {
         let kernel = KernelCache::new(self.conductors[0].bar.length());
         let op = timings.time("assemble", || {
             obs::with_span("peec.assemble", || {
-                FastZOperator::new(fils, rhos, omega, &kernel, &FastOpOptions::default())
+                FastZOperator::new(fils, rhos, omega, &kernel)
             })
         });
         let pre = timings.time("factor", || {
@@ -679,8 +661,13 @@ mod tests {
     fn impedance_timings_cover_every_stage() {
         let sys = cpw_system(1000.0);
         let mut timings = Timings::new();
-        sys.impedance_at_with_timings(3.2e9, |_| MeshSpec::new(2, 2), &mut timings)
-            .unwrap();
+        sys.impedance_at_backend(
+            3.2e9,
+            |_| MeshSpec::new(2, 2),
+            SolverBackend::Auto,
+            &mut timings,
+        )
+        .unwrap();
         for stage in ["mesh", "assemble", "factor", "reduce"] {
             assert!(timings.get(stage).is_some(), "missing stage {stage}");
         }

@@ -389,19 +389,19 @@ fn warm_block_preconditioner_apply_does_not_allocate() {
 /// `FastZOperator::apply` — the matvec behind every GMRES iteration of the
 /// iterative PEEC backend. Its shard partial sums, H² output and H²
 /// coefficient buffers are sized on the first apply and reused, so a warm
-/// apply with near, flat-ACA and H² parts performs no heap allocation.
+/// apply with near and H² parts performs no heap allocation.
 /// One thread: a multi-threaded dispatch allocates the pool's job record.
 #[test]
 fn warm_fast_operator_apply_does_not_allocate() {
     use rlcx::geom::{Axis, Bar, Point3};
     use rlcx::numeric::{with_thread_count, Complex, LinearOperator};
-    use rlcx::peec::fastop::{FastOpOptions, FastZOperator, KernelCache};
+    use rlcx::peec::fastop::{FastZOperator, KernelCache};
 
     let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
 
-    // Four 6×6 bundles in a row: near blocks inside each bundle, flat ACA
-    // between neighbours, H² couplings between the distant ones.
+    // Four 6×6 bundles in a row: near blocks inside each bundle, H²
+    // couplings between bundles.
     let fils: Vec<Bar> = [0.0, 30.0, 60.0, 90.0]
         .iter()
         .flat_map(|&base| {
@@ -421,7 +421,7 @@ fn warm_fast_operator_apply_does_not_allocate() {
     let rhos = vec![rlcx::geom::units::RHO_COPPER; fils.len()];
     let omega = 2.0 * std::f64::consts::PI * 3.2e9;
     let kernel = KernelCache::new(1000.0);
-    let op = FastZOperator::new(&fils, &rhos, omega, &kernel, &FastOpOptions::default());
+    let op = FastZOperator::new(&fils, &rhos, omega, &kernel);
     assert!(op.stats().h2_couplings > 0 && op.stats().near_blocks > 0);
     let x: Vec<Complex> = (0..fils.len())
         .map(|i| Complex::new((i as f64 * 0.53).cos(), (i as f64 * 0.29).sin()))

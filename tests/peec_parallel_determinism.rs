@@ -6,15 +6,14 @@
 //! only change wall-clock time — never a single output bit. These
 //! properties drive the in-process override (`with_thread_count`) across
 //! seeded random geometries from the three fixture families the backend
-//! equivalence suite uses.
+//! equivalence suite uses, plus a bar-pair family whose operator stores
+//! ACA `U·Vᵀ` blocks next to its H² couplings.
 
 use rlcx::geom::units::RHO_COPPER;
 use rlcx::geom::{Axis, Bar, Point3};
 use rlcx::numeric::rng::{SplitMix64, UniformRng};
 use rlcx::numeric::{with_thread_count, Complex, LinearOperator};
-use rlcx::peec::fastop::{
-    conductor_admittance, BlockDiagPrecond, FastOpOptions, FastZOperator, KernelCache,
-};
+use rlcx::peec::fastop::{conductor_admittance, BlockDiagPrecond, FastZOperator, KernelCache};
 use rlcx::peec::MeshSpec;
 
 /// Thread counts the properties sweep: serial, even, and an odd count
@@ -103,6 +102,25 @@ fn random_plane_strips(rng: &mut SplitMix64, n_strips: usize, mesh: MeshSpec) ->
     mesh_bars(bars, mesh, len)
 }
 
+/// Two pairs of thick bars, each bar meshed 2×24 so that one bar is one
+/// 48-filament leaf cluster. Within a pair the gap makes the two leaves
+/// admissible but keeps them inside 4× the filament width, so the pair is
+/// stored as an ACA `U·Vᵀ` block rather than an H² coupling; the pairs
+/// themselves sit far apart and couple through H².
+fn random_bar_pairs(rng: &mut SplitMix64) -> Fixture {
+    let len = rng.uniform(300.0, 2000.0);
+    let w = rng.uniform(3.0, 5.0);
+    let t = w * rng.uniform(0.8, 1.2);
+    let mut bars = Vec::new();
+    for base in [0.0, rng.uniform(80.0, 150.0)] {
+        let gap = w * rng.uniform(0.8, 1.4);
+        for y in [base, base + w + gap] {
+            bars.push(Bar::new(Point3::new(0.0, y, 8.0), Axis::X, len, w, t).unwrap());
+        }
+    }
+    mesh_bars(bars, MeshSpec::new(2, 24), len)
+}
+
 /// A deterministic dense excitation.
 fn excitation(n: usize) -> Vec<Complex> {
     (0..n)
@@ -112,17 +130,12 @@ fn excitation(n: usize) -> Vec<Complex> {
 
 /// Builds the operator, applies it once, and reduces to the conductor
 /// admittance matrix — the full matrix-free pipeline — at `threads`.
-/// Returns the matvec output and the admittance entries.
-fn pipeline_at(fx: &Fixture, omega: f64, threads: usize) -> (Vec<Complex>, Vec<Complex>) {
+/// Returns the matvec output, the admittance entries and the number of
+/// ACA `U·Vᵀ` blocks the operator stores.
+fn pipeline_at(fx: &Fixture, omega: f64, threads: usize) -> (Vec<Complex>, Vec<Complex>, usize) {
     with_thread_count(threads, || {
         let kernel = KernelCache::new(fx.length);
-        let op = FastZOperator::new(
-            &fx.fils,
-            &fx.rhos,
-            omega,
-            &kernel,
-            &FastOpOptions::default(),
-        );
+        let op = FastZOperator::new(&fx.fils, &fx.rhos, omega, &kernel);
         let x = excitation(fx.fils.len());
         let mut y = vec![Complex::ZERO; fx.fils.len()];
         op.apply(&x, &mut y);
@@ -135,7 +148,7 @@ fn pipeline_at(fx: &Fixture, omega: f64, threads: usize) -> (Vec<Complex>, Vec<C
                 flat.push(yc[(i, j)]);
             }
         }
-        (y, flat)
+        (y, flat, op.stats().far_blocks)
     })
 }
 
@@ -150,14 +163,17 @@ fn assert_bits_equal(label: &str, threads: usize, a: &[Complex], b: &[Complex]) 
 }
 
 /// Runs the full pipeline at every thread count and demands bit equality
-/// with the single-threaded reference.
-fn check_fixture(name: &str, fx: &Fixture, omega: f64) {
-    let (y1, yc1) = pipeline_at(fx, omega, THREADS[0]);
+/// with the single-threaded reference. Returns the fixture's ACA block
+/// count.
+fn check_fixture(name: &str, fx: &Fixture, omega: f64) -> usize {
+    let (y1, yc1, far1) = pipeline_at(fx, omega, THREADS[0]);
     for &t in &THREADS[1..] {
-        let (yt, yct) = pipeline_at(fx, omega, t);
+        let (yt, yct, fart) = pipeline_at(fx, omega, t);
         assert_bits_equal(&format!("{name}: matvec"), t, &y1, &yt);
         assert_bits_equal(&format!("{name}: admittance"), t, &yc1, &yct);
+        assert_eq!(far1, fart, "{name}: ACA block count at {t} threads");
     }
+    far1
 }
 
 #[test]
@@ -193,30 +209,12 @@ fn parallel_pipeline_is_bit_identical_on_random_plane_strips() {
 }
 
 #[test]
-fn flat_aca_compression_is_thread_invariant_too() {
-    // The flat-ACA far field shares the sharded build/apply machinery; it
-    // must be just as thread-invariant as the default H² path.
-    let mut rng = SplitMix64::new(0xACA_ACA);
-    let fx = random_plane_strips(&mut rng, 3, MeshSpec::new(6, 4));
-    let omega = 2.0 * std::f64::consts::PI * 3.2e9;
-    let run = |threads: usize| {
-        with_thread_count(threads, || {
-            let kernel = KernelCache::new(fx.length);
-            let op = FastZOperator::new(
-                &fx.fils,
-                &fx.rhos,
-                omega,
-                &kernel,
-                &FastOpOptions::flat_aca(),
-            );
-            let x = excitation(fx.fils.len());
-            let mut y = vec![Complex::ZERO; fx.fils.len()];
-            op.apply(&x, &mut y);
-            y
-        })
-    };
-    let y1 = run(1);
-    for t in [2usize, 7] {
-        assert_bits_equal("flat-aca matvec", t, &y1, &run(t));
+fn parallel_pipeline_is_bit_identical_on_random_bar_pairs() {
+    let mut rng = SplitMix64::new(0x0ACA_B10C);
+    for round in 0..2 {
+        let fx = random_bar_pairs(&mut rng);
+        let omega = 2.0 * std::f64::consts::PI * rng.uniform(5e8, 8e9);
+        let aca_blocks = check_fixture(&format!("bar-pairs round {round}"), &fx, omega);
+        assert!(aca_blocks > 0, "bar-pairs round {round}: no ACA block");
     }
 }
