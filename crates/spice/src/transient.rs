@@ -1,4 +1,4 @@
-//! Transient MNA simulation: fixed-step and adaptive time axes.
+//! Transient MNA simulation: one step loop, fixed or adaptive time axis.
 //!
 //! The system matrix of a linear circuit at a given timestep is constant,
 //! so the solver factorizes once (LU) and back-substitutes per step. The
@@ -6,25 +6,27 @@
 //! damping — important for the paper's RLC ringing waveforms) with backward
 //! Euler available for comparison.
 //!
-//! Two time axes are available through [`Stepping`]:
+//! [`Transient::run`] has one setup and one step loop: each pass solves the
+//! step its policy proposes and commits it if the policy accepts it. The
+//! policy, selected through [`Stepping`], is one of:
 //!
-//! * [`Stepping::Fixed`] — uniform steps of `timestep` seconds, one
-//!   factorization for the whole run (the historical behaviour,
-//!   bit-compatible with earlier releases);
+//! * [`Stepping::Fixed`] — step `n` ends at `n·timestep`, for
+//!   `round(duration/timestep)` steps on one factorization, each accepted
+//!   as solved (bit-compatible with earlier releases);
 //! * [`Stepping::Adaptive`] — local-truncation-error controlled steps.
-//!   Each step is computed twice (once at `h`, once as two `h/2`
-//!   half-steps); the Richardson difference estimates the LTE, steps
-//!   violating the tolerance are rejected and retried smaller, and
-//!   accepted steps grow the stride. The time axis *snaps* to source
-//!   breakpoints ([`crate::Waveform::breakpoints`]) so pulse corners and
-//!   PWL knots are hit exactly, and integration restarts with one damped
-//!   backward-Euler step after each discontinuity (and at `t = 0`). Step
-//!   size changes reuse the sparse symbolic factorization through a
-//!   numeric-only refactorization.
+//!   Each step is solved again as two `h/2` half-steps; the Richardson
+//!   difference estimates the LTE, steps violating the tolerance are
+//!   rejected and retried smaller, and accepted steps grow the stride. The
+//!   time axis *snaps* to source breakpoints
+//!   ([`crate::Waveform::breakpoints`]) so pulse corners and PWL knots are
+//!   hit exactly, and integration restarts with one damped backward-Euler
+//!   step after each discontinuity (and at `t = 0`). Step size changes
+//!   reuse the sparse symbolic factorization through a numeric-only
+//!   refactorization.
 //!
 //! Every system is factored by the fill-reducing sparse LU of
 //! `rlcx_numeric::sparse` (clocktree MNA matrices have O(n) nonzeros),
-//! and the per-step loop runs without heap allocation — right-hand side,
+//! and the step loop runs without heap allocation — right-hand side,
 //! solution, scratch buffers and result columns are preallocated and
 //! reused.
 
@@ -57,9 +59,10 @@ pub enum Stepping {
 
 /// Tuning knobs for [`Stepping::Adaptive`].
 ///
-/// The defaults suit the paper's picosecond-scale clocktree waveforms;
-/// `0.0` in the step-bound fields selects a duration-derived automatic
-/// value at run time.
+/// The defaults suit the paper's picosecond-scale clocktree waveforms.
+/// The smallest step is derived, `max(timestep·1e-6, duration·1e-15)`;
+/// a step at that floor is force-accepted rather than erroring out (the
+/// linear system is unconditionally stable).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveOptions {
     /// Relative LTE tolerance per unknown (default `1e-4`).
@@ -67,17 +70,9 @@ pub struct AdaptiveOptions {
     /// Absolute LTE floor in volts / amperes (default `1e-6`), guarding
     /// the relative test near zero crossings.
     pub abstol: f64,
-    /// Smallest step the controller may take; steps at the floor are
-    /// force-accepted rather than erroring out (the linear system is
-    /// unconditionally stable). `0.0` selects
-    /// `max(timestep·1e-6, duration·1e-15)`.
-    pub h_min: f64,
-    /// Largest step the controller may grow to; `0.0` selects
-    /// `duration / 50`.
+    /// Largest step the controller may grow to; `0.0` (the default)
+    /// selects `duration / 50`.
     pub h_max: f64,
-    /// Hard cap on step attempts (accepted + rejected) before the run
-    /// aborts with [`SpiceError::BadSimParams`] (default `2_000_000`).
-    pub max_steps: usize,
 }
 
 impl Default for AdaptiveOptions {
@@ -85,15 +80,19 @@ impl Default for AdaptiveOptions {
         AdaptiveOptions {
             reltol: 1e-4,
             abstol: 1e-6,
-            h_min: 0.0,
             h_max: 0.0,
-            max_steps: 2_000_000,
         }
     }
 }
 
+/// Step attempts (accepted + rejected) after which an adaptive run aborts
+/// with [`SpiceError::BadSimParams`], a guard against unmeetable tolerances.
+const MAX_ATTEMPTS: usize = 2_000_000;
+
 impl AdaptiveOptions {
-    fn validate(&self) -> Result<()> {
+    /// Validates the options and returns the step bounds `(h_min, h_max)`
+    /// of a run seeded with step `h_init` over `duration`.
+    fn step_bounds(&self, h_init: f64, duration: f64) -> Result<(f64, f64)> {
         let bad = |what: String| Err(SpiceError::BadSimParams { what });
         if !(self.reltol > 0.0 && self.reltol.is_finite()) {
             return bad(format!("reltol must be positive, got {}", self.reltol));
@@ -101,22 +100,22 @@ impl AdaptiveOptions {
         if !(self.abstol > 0.0 && self.abstol.is_finite()) {
             return bad(format!("abstol must be positive, got {}", self.abstol));
         }
-        if !(self.h_min >= 0.0 && self.h_min.is_finite()) {
-            return bad(format!("h_min must be non-negative, got {}", self.h_min));
-        }
         if !(self.h_max >= 0.0 && self.h_max.is_finite()) {
             return bad(format!("h_max must be non-negative, got {}", self.h_max));
         }
-        if self.h_min > 0.0 && self.h_max > 0.0 && self.h_min > self.h_max {
+        let h_min = (h_init * 1e-6).max(duration * 1e-15).min(h_init);
+        let h_max = if self.h_max > 0.0 {
+            self.h_max.min(duration)
+        } else {
+            (duration / 50.0).max(h_init)
+        };
+        if h_max < h_min {
             return bad(format!(
-                "h_min {} must not exceed h_max {}",
-                self.h_min, self.h_max
+                "h_max {} is below the smallest step {h_min}",
+                self.h_max
             ));
         }
-        if self.max_steps == 0 {
-            return bad("max_steps must be positive".into());
-        }
-        Ok(())
+        Ok((h_min, h_max))
     }
 }
 
@@ -208,6 +207,215 @@ pub(crate) fn update_cap_currents(
     }
 }
 
+/// Companion coefficient of a step of size `h`: `2/h` for a trapezoidal
+/// step, `1/h` for a backward-Euler one (`kC = k·C`, `kL = k·L`).
+fn coeff(h: f64, trap: bool) -> f64 {
+    (if trap { 2.0 } else { 1.0 }) / h
+}
+
+/// A proposed step of size `h` from `t` to `t_end`, sources evaluated at
+/// `t_src`, companion coefficient `k`, trapezoidal history when `trap`.
+struct Step {
+    t: f64,
+    h: f64,
+    k: f64,
+    trap: bool,
+    t_src: f64,
+    t_end: f64,
+}
+
+/// How the step loop proposes steps and accepts their solutions: the only
+/// place where the two [`Stepping`] modes differ.
+enum Policy {
+    /// `steps` steps of `timestep`, coefficient `k`, each accepted as solved.
+    Fixed { steps: usize, k: f64 },
+    /// Step-doubling LTE control, snapped to source breakpoints.
+    Adaptive(Box<Adaptive>),
+}
+
+/// State of the adaptive policy. `h` is the step to propose next: the
+/// controller's choice, or the shrunk step after a rejection. `restart`
+/// makes it one damped backward-Euler step (at `t = 0` and after each
+/// breakpoint) so the trapezoidal rule does not ring on the discontinuity.
+/// `bps` holds the breakpoints ahead, next one last; `snapped` marks a
+/// proposal that ends on it.
+struct Adaptive {
+    opts: AdaptiveOptions,
+    h_min: f64,
+    h_max: f64,
+    bps: Vec<f64>,
+    h: f64,
+    restart: bool,
+    snapped: bool,
+    /// Factor of the half-step system and the half steps' buffers.
+    half: MnaFactor,
+    x_mid: Vec<f64>,
+    x_half: Vec<f64>,
+    cc_half: Vec<f64>,
+    rhs: Vec<f64>,
+    scratch: Vec<f64>,
+}
+
+impl Policy {
+    /// The policy of `tr`, and the number of samples to pre-size the
+    /// recorder for.
+    fn new(tr: &Transient, layout: &MnaLayout) -> Result<(Self, usize)> {
+        let (nl, h, duration) = (tr.netlist, tr.timestep, tr.duration);
+        let trap = tr.method == IntegrationMethod::Trapezoidal;
+        let Stepping::Adaptive(opts) = &tr.stepping else {
+            let steps = (duration / h).round() as usize;
+            let k = coeff(h, trap);
+            return Ok((Policy::Fixed { steps, k }, steps + 1));
+        };
+        let (h_min, h_max) = opts.step_bounds(h, duration)?;
+        let t_eps = duration * 1e-12;
+        let mut bps = Vec::new();
+        for e in &nl.elements {
+            if let Element::VSource { wave, .. } = e {
+                wave.breakpoints(duration, &mut bps);
+            }
+        }
+        bps.sort_by(f64::total_cmp);
+        bps.dedup_by(|a, b| (*a - *b).abs() <= t_eps);
+        obs::counter_add("spice.breakpoints", bps.len() as u64);
+        // Adaptive runs take far fewer samples than `duration/timestep`, so
+        // growing the recorder inside the loop is the exception.
+        let samples = (2.0 * duration / h).ceil() as usize + 4 * bps.len() + 64;
+        bps.retain(|&tb| tb > t_eps);
+        bps.reverse();
+        let adaptive = Adaptive {
+            opts: opts.clone(),
+            h_min,
+            h_max,
+            bps,
+            h,
+            restart: true,
+            snapped: false,
+            half: MnaFactor::companion(nl, layout, coeff(0.5 * h, trap))?,
+            x_mid: vec![0.0; layout.dim],
+            x_half: vec![0.0; layout.dim],
+            cc_half: vec![0.0; nl.elements.len()],
+            rhs: vec![0.0; layout.dim],
+            scratch: vec![0.0; layout.dim],
+        };
+        Ok((Policy::Adaptive(Box::new(adaptive)), samples))
+    }
+
+    /// Attempt `attempt` (from 0) at the step from `t`, `None` once the run
+    /// is complete. Fixed steps are never rejected: attempt `n` is step `n + 1`.
+    fn propose(&mut self, tr: &Transient, t: f64, attempt: usize) -> Result<Option<Step>> {
+        let (h, duration, t_eps) = (tr.timestep, tr.duration, tr.duration * 1e-12);
+        let trap = tr.method == IntegrationMethod::Trapezoidal;
+        let (h, k, trap, t_src, t_end) = match *self {
+            Policy::Fixed { steps, .. } if attempt == steps => return Ok(None),
+            Policy::Fixed { k, .. } => {
+                let t_end = (attempt + 1) as f64 * h;
+                (h, k, trap, t_end, t_end)
+            }
+            Policy::Adaptive(_) if t >= duration - t_eps => return Ok(None),
+            Policy::Adaptive(ref mut a) => {
+                if attempt >= MAX_ATTEMPTS {
+                    let what = format!("{MAX_ATTEMPTS} adaptive step attempts by t = {t:.3e} s");
+                    return Err(SpiceError::BadSimParams { what });
+                }
+                // `a.h` is already capped at `timestep` on a restart, and
+                // after a rejection it is the shrunk step, below every cap.
+                let h_try = a.h.max(a.h_min).min(duration - t);
+                let tb = a.bps.last().copied().unwrap_or(f64::INFINITY);
+                a.snapped = tb - t <= h_try * (1.0 + 1e-9);
+                let h_try = if a.snapped { tb - t } else { h_try };
+                let t_new = if a.snapped { tb } else { t + h_try };
+                // When the step lands on a breakpoint, sources are evaluated
+                // just *before* it — the left limit — so a zero-width edge at
+                // the breakpoint cannot leak its post-edge value into the
+                // step that ends there.
+                let t_src = t_new * if a.snapped { 1.0 - 1e-12 } else { 1.0 };
+                let at_end = duration - t_new <= t_eps;
+                let t_end = if at_end { duration } else { t_new };
+                let trap = trap && !a.restart;
+                (h_try, coeff(h_try, trap), trap, t_src, t_end)
+            }
+        };
+        Ok(Some(Step {
+            t,
+            h,
+            k,
+            trap,
+            t_src,
+            t_end,
+        }))
+    }
+
+    /// Judges the solution `x_new` of `step`, taken from state `x`. On
+    /// acceptance `x_new` and `cap_current` hold the state to commit; a
+    /// rejection leaves `cap_current` as it was.
+    fn accept(
+        &mut self,
+        tr: &Transient,
+        layout: &MnaLayout,
+        step: &Step,
+        x: &[f64],
+        x_new: &mut Vec<f64>,
+        cap_current: &mut Vec<f64>,
+    ) -> Result<bool> {
+        let (nl, t, h, trap) = (tr.netlist, step.t, step.h, step.trap);
+        let Policy::Adaptive(a) = self else {
+            update_cap_currents(nl, x_new, x, step.k, trap, cap_current);
+            return Ok(true);
+        };
+        // The same step as two half steps.
+        let h2 = 0.5 * h;
+        let k2 = coeff(h2, trap);
+        a.half.ensure(nl, layout, k2)?;
+        assemble_rhs(nl, layout, x, cap_current, t + h2, k2, trap, &mut a.rhs);
+        a.half.solve_into(&a.rhs, &mut a.scratch, &mut a.x_mid)?;
+        a.cc_half.copy_from_slice(cap_current);
+        update_cap_currents(nl, &a.x_mid, x, k2, trap, &mut a.cc_half);
+        let (x_mid, cc_half) = (&a.x_mid, &a.cc_half);
+        assemble_rhs(nl, layout, x_mid, cc_half, step.t_src, k2, trap, &mut a.rhs);
+        a.half.solve_into(&a.rhs, &mut a.scratch, &mut a.x_half)?;
+
+        // Step-doubling LTE: for a method of order p the half-step
+        // solution's error is ≈ (x_half − x_full)/(2^p − 1).
+        let denom = if trap { 3.0 } else { 1.0 };
+        let err_exp = if trap { -1.0 / 3.0 } else { -1.0 / 2.0 };
+        let err = (0..x.len()).fold(0.0_f64, |err, i| {
+            let scale = a.opts.abstol + a.opts.reltol * a.x_half[i].abs().max(x[i].abs());
+            err.max((a.x_half[i] - x_new[i]).abs() / (denom * scale))
+        });
+        let ok = err <= 1.0 || h <= a.h_min * (1.0 + 1e-9);
+        obs::counter_add("spice.steps.rejected", u64::from(!ok));
+        // The controller's factor for the next step: 0.9·err^(−1/(p+1)).
+        let factor = (err > 0.0 && err.is_finite()).then(|| 0.9 * err.powf(err_exp));
+        if !ok {
+            obs::series_push("transient.lte", t + h, err);
+            obs::series_push("transient.accept", t + h, 0.0);
+            a.h = h * factor.map_or(0.1, |f| f.clamp(0.1, 0.5));
+            return Ok(false);
+        }
+
+        // Accept the (more accurate) half-step solution.
+        update_cap_currents(nl, &a.x_half, &a.x_mid, k2, trap, &mut a.cc_half);
+        std::mem::swap(x_new, &mut a.x_half);
+        std::mem::swap(cap_current, &mut a.cc_half);
+        obs::series_push("transient.h", step.t_end, h);
+        obs::series_push("transient.lte", step.t_end, err);
+        obs::series_push("transient.accept", step.t_end, 1.0);
+        a.h = (h * factor.map_or(2.0, |f| f.clamp(0.2, 2.0))).clamp(a.h_min, a.h_max);
+        a.restart = a.snapped;
+        if a.snapped {
+            // Drop the breakpoint (and any within `t_eps` past it), then
+            // restart across the discontinuity at edge resolution.
+            let t_next = step.t_end + tr.duration * 1e-12;
+            while a.bps.last().is_some_and(|&tb| tb <= t_next) {
+                a.bps.pop();
+            }
+            a.h = a.h.min(tr.timestep);
+        }
+        Ok(true)
+    }
+}
+
 /// Transient analysis builder over a [`Netlist`].
 ///
 /// # Example
@@ -277,281 +485,67 @@ impl<'a> Transient<'a> {
     pub fn run(&self) -> Result<TransientResult> {
         let _span = obs::span("spice.transient");
         obs::counter_add("spice.transients", 1);
-        if !(self.timestep > 0.0 && self.timestep.is_finite()) {
-            return Err(SpiceError::BadSimParams {
-                what: format!("timestep must be positive, got {}", self.timestep),
-            });
+        let (h, duration) = (self.timestep, self.duration);
+        let bad = |what: String| Err(SpiceError::BadSimParams { what });
+        if !(h > 0.0 && h.is_finite()) {
+            return bad(format!("timestep must be positive, got {h}"));
         }
-        if !(self.duration >= self.timestep && self.duration.is_finite()) {
-            return Err(SpiceError::BadSimParams {
-                what: format!(
-                    "duration {} must be at least one timestep {}",
-                    self.duration, self.timestep
-                ),
-            });
+        if !(duration >= h && duration.is_finite()) {
+            let what = format!("duration {duration} must be at least one timestep {h}");
+            return bad(what);
         }
-        match &self.stepping {
-            Stepping::Fixed => self.run_fixed(),
-            Stepping::Adaptive(opts) => self.run_adaptive(opts),
-        }
-    }
-
-    /// Fixed-step integration: one factorization, `duration/timestep`
-    /// back-substitutions.
-    fn run_fixed(&self) -> Result<TransientResult> {
         let nl = self.netlist;
-        let h = self.timestep;
         let layout = MnaLayout::new(nl)?;
         let dim = layout.dim;
         obs::gauge_set("spice.mna.dim", dim as f64);
 
-        // Integration coefficient: trap uses 2L/h and 2C/h, BE uses L/h, C/h.
-        let k = match self.method {
-            IntegrationMethod::Trapezoidal => 2.0 / h,
-            IntegrationMethod::BackwardEuler => 1.0 / h,
-        };
+        // The loop's factor, for a step of `timestep`. Fixed steps keep it;
+        // adaptive step-size changes re-stamp it and redo only the numeric
+        // factorization (symbolic analysis reused).
+        let factor_span = obs::span("spice.mna.factor");
         let trap = self.method == IntegrationMethod::Trapezoidal;
-
-        // Assemble and factor the constant system matrix once.
-        let lu = {
-            let _s = obs::span("spice.mna.factor");
-            MnaFactor::companion(nl, &layout, k)?
-        };
+        let mut lu = MnaFactor::companion(nl, &layout, coeff(h, trap))?;
+        let (mut policy, samples) = Policy::new(self, &layout)?;
+        drop(factor_span);
         if let Ok(cond) = lu.cond_est() {
             obs::gauge_set("lu.cond_est", cond);
         }
 
         // DC operating point at t = 0: resistors as-is, inductors as shorts,
         // capacitors open, sources at their initial value.
-        let x0 = self.dc_operating_point(&layout)?;
+        let mut x = self.dc_operating_point(&layout)?;
 
         // State: node voltages + branch currents in `x`; capacitor currents
-        // tracked separately for the trapezoidal companion.
-        let steps = (self.duration / h).round() as usize;
-        // The MNA system is linear, so each step is one back-substitution —
-        // there is no Newton loop to count, only steps.
-        obs::counter_add("spice.steps", steps as u64);
-        let mut x = x0;
-        // Every buffer the step loop touches is preallocated here — the
-        // loop itself is heap-allocation-free (asserted by
-        // `tests/obs_overhead.rs`).
+        // tracked separately for the trapezoidal companion. Every buffer the
+        // step loop touches is preallocated here — the loop itself is
+        // heap-allocation-free (asserted by `tests/obs_overhead.rs`).
         let mut x_new = vec![0.0; dim];
         let mut scratch = vec![0.0; dim];
         let mut rhs = vec![0.0; dim];
         let mut cap_current = vec![0.0; nl.elements.len()];
-        let mut rec = Recorder::new(&layout, steps + 1);
+        let mut rec = Recorder::new(&layout, samples);
         rec.record(0.0, &x);
 
-        for step in 1..=steps {
-            let t = step as f64 * h;
-            assemble_rhs(nl, &layout, &x, &cap_current, t, k, trap, &mut rhs);
+        let (mut t, mut accepted, mut rejected) = (0.0, 0, 0);
+        while let Some(step) = policy.propose(self, t, accepted + rejected)? {
+            let (k, trap) = (step.k, step.trap);
+            lu.ensure(nl, &layout, k)?;
+            assemble_rhs(nl, &layout, &x, &cap_current, step.t_src, k, trap, &mut rhs);
             lu.solve_into(&rhs, &mut scratch, &mut x_new)?;
-            update_cap_currents(nl, &x_new, &x, k, trap, &mut cap_current);
-            std::mem::swap(&mut x, &mut x_new);
-            rec.record(t, &x);
-        }
-
-        Ok(rec.finish(nl, &layout, 0))
-    }
-
-    /// Adaptive integration: step-doubling LTE control with breakpoint
-    /// snapping. See the module docs for the scheme.
-    fn run_adaptive(&self, opts: &AdaptiveOptions) -> Result<TransientResult> {
-        opts.validate()?;
-        let nl = self.netlist;
-        let layout = MnaLayout::new(nl)?;
-        let dim = layout.dim;
-        obs::gauge_set("spice.mna.dim", dim as f64);
-        let trap_method = self.method == IntegrationMethod::Trapezoidal;
-        let duration = self.duration;
-        let h_init = self.timestep.min(duration);
-        let h_max = if opts.h_max > 0.0 {
-            opts.h_max.min(duration)
-        } else {
-            (duration / 50.0).max(h_init)
-        };
-        let h_min = if opts.h_min > 0.0 {
-            opts.h_min
-        } else {
-            (h_init * 1e-6).max(duration * 1e-15)
-        }
-        .min(h_init);
-
-        // Source breakpoints, sorted and deduplicated; the step loop snaps
-        // onto each so discontinuities land on sample points exactly.
-        let t_eps = duration * 1e-12;
-        let mut bps: Vec<f64> = Vec::new();
-        for e in &nl.elements {
-            if let Element::VSource { wave, .. } = e {
-                wave.breakpoints(duration, &mut bps);
-            }
-        }
-        bps.sort_by(f64::total_cmp);
-        bps.dedup_by(|a, b| (*a - *b).abs() <= t_eps);
-        obs::counter_add("spice.breakpoints", bps.len() as u64);
-
-        // Companion coefficient of a step of size `h`.
-        let coeff = |h: f64, trap: bool| if trap { 2.0 / h } else { 1.0 / h };
-
-        // Two factor caches — the full step at `h` and its two half steps
-        // at `h/2`. Step-size changes re-stamp values in place and redo
-        // only the numeric factorization (symbolic analysis reused).
-        let (mut full, mut half) = {
-            let _s = obs::span("spice.mna.factor");
-            (
-                MnaFactor::companion(nl, &layout, coeff(h_init, trap_method))?,
-                MnaFactor::companion(nl, &layout, coeff(0.5 * h_init, trap_method))?,
-            )
-        };
-        if let Ok(cond) = full.cond_est() {
-            obs::gauge_set("lu.cond_est", cond);
-        }
-
-        let x0 = self.dc_operating_point(&layout)?;
-
-        // Preallocate everything the attempt loop touches; the accepted-
-        // step hot loop must stay heap-free (tests/obs_overhead.rs). The
-        // recording vectors get a generous upfront capacity — adaptive
-        // runs take far fewer samples than `duration/h_init`, so growth
-        // inside the loop is the exception, not the rule.
-        let mut x = x0;
-        let mut x_full = vec![0.0; dim];
-        let mut x_mid = vec![0.0; dim];
-        let mut x_half = vec![0.0; dim];
-        let mut scratch = vec![0.0; dim];
-        let mut rhs = vec![0.0; dim];
-        let mut cap_current = vec![0.0; nl.elements.len()];
-        let mut cc_half = vec![0.0; nl.elements.len()];
-        let cap_guess = (2.0 * duration / h_init).ceil() as usize + 4 * bps.len() + 64;
-        let mut rec = Recorder::new(&layout, cap_guess);
-        rec.record(0.0, &x);
-
-        let mut t = 0.0;
-        let mut h = h_init;
-        // One damped backward-Euler step at t = 0 and after each
-        // breakpoint keeps the trapezoidal rule from ringing on the
-        // discontinuity it just stepped across (TR-BDF2-style restart).
-        let mut restart = true;
-        let mut bp_idx = 0usize;
-        while bps.get(bp_idx).is_some_and(|&tb| tb <= t_eps) {
-            bp_idx += 1;
-        }
-        let mut accepted: u64 = 0;
-        let mut rejected: u64 = 0;
-        let mut attempts = 0usize;
-        let err_exp = |trap: bool| if trap { -1.0 / 3.0 } else { -1.0 / 2.0 };
-
-        while t < duration - t_eps {
-            let trap = trap_method && !restart;
-            let mut h_prop = h.min(duration - t);
-            if restart {
-                h_prop = h_prop.min(h_init);
-            }
-            // Attempt loop: exactly one accepted step per outer iteration.
-            let (h_eff, snapped, err, t_new) = loop {
-                attempts += 1;
-                if attempts > opts.max_steps {
-                    return Err(SpiceError::BadSimParams {
-                        what: format!(
-                            "adaptive stepping exceeded max_steps = {} at t = {t:.3e} s; \
-                             loosen reltol/abstol or raise max_steps",
-                            opts.max_steps
-                        ),
-                    });
-                }
-                let mut h_try = h_prop.max(h_min).min(duration - t);
-                let mut snap = false;
-                if let Some(&tb) = bps.get(bp_idx) {
-                    if tb - t <= h_try * (1.0 + 1e-9) {
-                        h_try = tb - t;
-                        snap = true;
-                    }
-                }
-                let t_new = if snap { bps[bp_idx] } else { t + h_try };
-                // When the step lands on a breakpoint, sources are
-                // evaluated just *before* it — the left limit — so a
-                // zero-width edge at the breakpoint cannot leak its
-                // post-edge value into the step that ends there.
-                let t_src = if snap { t_new * (1.0 - 1e-12) } else { t_new };
-
-                // Full step at h_try.
-                let k = coeff(h_try, trap);
-                full.ensure(nl, &layout, k)?;
-                assemble_rhs(nl, &layout, &x, &cap_current, t_src, k, trap, &mut rhs);
-                full.solve_into(&rhs, &mut scratch, &mut x_full)?;
-
-                // The same step as two half steps.
-                let h2 = 0.5 * h_try;
-                let k2 = coeff(h2, trap);
-                half.ensure(nl, &layout, k2)?;
-                assemble_rhs(nl, &layout, &x, &cap_current, t + h2, k2, trap, &mut rhs);
-                half.solve_into(&rhs, &mut scratch, &mut x_mid)?;
-                cc_half.copy_from_slice(&cap_current);
-                update_cap_currents(nl, &x_mid, &x, k2, trap, &mut cc_half);
-                assemble_rhs(nl, &layout, &x_mid, &cc_half, t_src, k2, trap, &mut rhs);
-                half.solve_into(&rhs, &mut scratch, &mut x_half)?;
-
-                // Step-doubling LTE: for a method of order p the half-step
-                // solution's error is ≈ (x_half − x_full)/(2^p − 1).
-                let denom = if trap { 3.0 } else { 1.0 };
-                let mut err = 0.0_f64;
-                for i in 0..dim {
-                    let scale = opts.abstol + opts.reltol * x_half[i].abs().max(x[i].abs());
-                    err = err.max((x_half[i] - x_full[i]).abs() / (denom * scale));
-                }
-
-                if err <= 1.0 || h_try <= h_min * (1.0 + 1e-9) {
-                    // Accept the (more accurate) half-step solution.
-                    update_cap_currents(nl, &x_half, &x_mid, k2, trap, &mut cc_half);
-                    break (h_try, snap, err, t_new);
-                }
+            if !policy.accept(self, &layout, &step, &x, &mut x_new, &mut cap_current)? {
                 rejected += 1;
-                obs::series_push("transient.lte", t + h_try, err);
-                obs::series_push("transient.accept", t + h_try, 0.0);
-                let shrink = if err.is_finite() && err > 0.0 {
-                    (0.9 * err.powf(err_exp(trap))).clamp(0.1, 0.5)
-                } else {
-                    0.1
-                };
-                h_prop = h_try * shrink;
-            };
-
-            // Commit.
-            std::mem::swap(&mut x, &mut x_half);
-            cap_current.copy_from_slice(&cc_half);
-            t = if duration - t_new <= t_eps {
-                duration
-            } else {
-                t_new
-            };
-            accepted += 1;
-            obs::series_push("transient.h", t, h_eff);
-            obs::series_push("transient.lte", t, err);
-            obs::series_push("transient.accept", t, 1.0);
-            rec.record(t, &x);
-
-            // Step-size controller for the next step.
-            let grow = if err > 0.0 && err.is_finite() {
-                (0.9 * err.powf(err_exp(trap))).clamp(0.2, 2.0)
-            } else {
-                2.0
-            };
-            h = (h_eff * grow).clamp(h_min, h_max);
-            restart = false;
-            if snapped {
-                bp_idx += 1;
-                while bps.get(bp_idx).is_some_and(|&tb| tb <= t + t_eps) {
-                    bp_idx += 1;
-                }
-                // Restart across the discontinuity at edge resolution.
-                restart = true;
-                h = h.min(h_init);
+                continue;
             }
+            std::mem::swap(&mut x, &mut x_new);
+            t = step.t_end;
+            accepted += 1;
+            rec.record(t, &x);
         }
-        obs::counter_add("spice.steps", accepted);
-        obs::counter_add("spice.steps.rejected", rejected);
+        // The MNA system is linear, so each step is one back-substitution —
+        // there is no Newton loop to count, only steps.
+        obs::counter_add("spice.steps", accepted as u64);
 
-        Ok(rec.finish(nl, &layout, rejected as usize))
+        Ok(rec.finish(nl, &layout, rejected))
     }
 
     /// DC operating point: inductors shorted, capacitors open, sources at
@@ -711,9 +705,14 @@ impl TransientResult {
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::Unknown`] for an unknown node name.
+    /// Returns [`SpiceError::Unknown`] for an unknown node name and
+    /// [`SpiceError::BadSimParams`] for a non-finite `t`.
     pub fn voltage_at(&self, node: &str, t: f64) -> Result<f64> {
         let v = self.voltage(node)?;
+        if !t.is_finite() {
+            let what = format!("probe time must be finite, got {t}");
+            return Err(SpiceError::BadSimParams { what });
+        }
         if t <= self.time[0] {
             return Ok(v[0]);
         }
@@ -937,17 +936,15 @@ mod tests {
             ..Default::default()
         })
         .is_err());
-        assert!(run(AdaptiveOptions {
-            h_min: 1e-9,
-            h_max: 1e-12,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(run(AdaptiveOptions {
-            max_steps: 0,
-            ..Default::default()
-        })
-        .is_err());
+        // Below the derived smallest step (≈ 1e-18 s here): the step
+        // controller could not clamp between the two bounds.
+        assert!(matches!(
+            run(AdaptiveOptions {
+                h_max: 1e-30,
+                ..Default::default()
+            }),
+            Err(SpiceError::BadSimParams { .. })
+        ));
         assert!(run(AdaptiveOptions::default()).is_ok());
     }
 
@@ -1125,6 +1122,28 @@ mod tests {
             .unwrap();
         assert_eq!(res.voltage_at("a", -1.0).unwrap(), 3.0);
         assert_eq!(res.voltage_at("a", 1.0).unwrap(), 3.0);
+    }
+
+    #[test]
+    fn interpolation_rejects_non_finite_time() {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.vsource("V", a, GROUND, Waveform::ramp(0.0, 1.0, 0.0, 5e-12))
+            .unwrap();
+        nl.resistor("R", a, GROUND, 1.0).unwrap();
+        let res = Transient::new(&nl)
+            .timestep(1e-12)
+            .duration(1e-11)
+            .run()
+            .unwrap();
+        // +NaN sorts after every sample and −NaN before the first one, so
+        // both ends of the binary search are probed.
+        for t in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(res.voltage_at("a", t), Err(SpiceError::BadSimParams { .. })),
+                "t = {t}"
+            );
+        }
     }
 
     /// A transformer-coupled RLC network: mutual terms land on

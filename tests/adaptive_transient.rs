@@ -302,3 +302,62 @@ fn adaptive_matches_oversampled_fixed_on_paper_ladder() {
         fixed.steps_accepted()
     );
 }
+
+/// E11's paper-style ladder (`exp_adaptive_step`): a 1.8 V, 20 ps ramp
+/// through a driver resistor into ten π-sections; `with_l` puts a 0.4 nH
+/// inductor in every section. Node order matches the experiment, so the
+/// time axes below are the experiment's.
+fn e11_ladder(driver_ohms: f64, with_l: bool) -> Netlist {
+    let mut nl = Netlist::new();
+    let inp = nl.node("in");
+    nl.vsource("V", inp, GROUND, Waveform::ramp(0.0, 1.8, 0.0, 20e-12))
+        .unwrap();
+    let drv = nl.node("drv");
+    nl.resistor("Rdrv", inp, drv, driver_ohms).unwrap();
+    let mut prev = drv;
+    for i in 0..10 {
+        let out = nl.node(format!("n{i}"));
+        if with_l {
+            let mid = nl.node(format!("m{i}"));
+            nl.resistor(&format!("R{i}"), prev, mid, 2.5).unwrap();
+            nl.inductor(&format!("L{i}"), mid, out, 0.4e-9).unwrap();
+        } else {
+            nl.resistor(&format!("R{i}"), prev, out, 2.5).unwrap();
+        }
+        nl.capacitor(&format!("C{i}"), out, GROUND, 25e-15).unwrap();
+        prev = out;
+    }
+    nl
+}
+
+#[test]
+fn e11_time_axes_are_pinned() {
+    // Both stepping policies produce exactly these axes: the fixed one is
+    // `k·h` computed per sample (never an accumulated sum), the adaptive
+    // one is E11's recorded step and rejection counts.
+    let (h, duration) = (0.5e-12, 1e-9);
+    for (driver, with_l, want) in [(40.0, false, (102, 5)), (15.0, true, (617, 42))] {
+        let nl = e11_ladder(driver, with_l);
+        let fixed = Transient::new(&nl)
+            .timestep(h)
+            .duration(duration)
+            .run()
+            .unwrap();
+        assert_eq!(fixed.steps_accepted(), 2000);
+        assert_eq!(fixed.steps_rejected(), 0);
+        for (k, &t) in fixed.time().iter().enumerate() {
+            assert_eq!(t.to_bits(), (k as f64 * h).to_bits(), "sample {k}");
+        }
+        let adaptive = Transient::new(&nl)
+            .timestep(h)
+            .duration(duration)
+            .stepping(Stepping::Adaptive(AdaptiveOptions::default()))
+            .run()
+            .unwrap();
+        assert_eq!(
+            (adaptive.steps_accepted(), adaptive.steps_rejected()),
+            want,
+            "driver {driver} Ω, with_l {with_l}"
+        );
+    }
+}

@@ -389,20 +389,22 @@ fn warm_block_preconditioner_apply_does_not_allocate() {
 /// `FastZOperator::apply` — the matvec behind every GMRES iteration of the
 /// iterative PEEC backend. Its shard partial sums, H² output and H²
 /// coefficient buffers are sized on the first apply and reused, so a warm
-/// apply with near and H² parts performs no heap allocation.
+/// apply performs no heap allocation — checked on an operator with near
+/// and H² parts, and on one that also stores ACA `U·Vᵀ` blocks.
 /// One thread: a multi-threaded dispatch allocates the pool's job record.
 #[test]
 fn warm_fast_operator_apply_does_not_allocate() {
     use rlcx::geom::{Axis, Bar, Point3};
     use rlcx::numeric::{with_thread_count, Complex, LinearOperator};
     use rlcx::peec::fastop::{FastZOperator, KernelCache};
+    use rlcx::peec::MeshSpec;
 
     let _guard = level_lock();
     obs::set_trace_level(TraceLevel::Off);
 
-    // Four 6×6 bundles in a row: near blocks inside each bundle, H²
-    // couplings between bundles.
-    let fils: Vec<Bar> = [0.0, 30.0, 60.0, 90.0]
+    // Four 6×6 bundles of 0.9 µm filaments in a row: near blocks inside
+    // each bundle, H² couplings between bundles, no ACA block.
+    let bundles: Vec<Bar> = [0.0, 30.0, 60.0, 90.0]
         .iter()
         .flat_map(|&base| {
             (0..36).map(move |k| {
@@ -418,30 +420,44 @@ fn warm_fast_operator_apply_does_not_allocate() {
             })
         })
         .collect();
-    let rhos = vec![rlcx::geom::units::RHO_COPPER; fils.len()];
-    let omega = 2.0 * std::f64::consts::PI * 3.2e9;
-    let kernel = KernelCache::new(1000.0);
-    let op = FastZOperator::new(&fils, &rhos, omega, &kernel);
-    assert!(op.stats().h2_couplings > 0 && op.stats().near_blocks > 0);
-    let x: Vec<Complex> = (0..fils.len())
-        .map(|i| Complex::new((i as f64 * 0.53).cos(), (i as f64 * 0.29).sin()))
-        .collect();
-    let mut y = vec![Complex::ZERO; fils.len()];
-    let mut y_warm = vec![Complex::ZERO; fils.len()];
+    // Two pairs of 2×24-filament bars (the geometry of the fast operator's
+    // dense-agreement test): within a pair the blocks are admissible but
+    // not all-far, so they are stored as ACA blocks; the pairs, 100 µm
+    // apart, couple through H².
+    let mut bar_pairs = Vec::new();
+    for y in [0.0, 9.0, 100.0, 109.0] {
+        let bar = Bar::new(Point3::new(0.0, y, 10.0), Axis::X, 1000.0, 4.0, 6.0).unwrap();
+        bar_pairs.extend(MeshSpec::new(2, 24).filaments(&bar));
+    }
 
-    let allocs = with_thread_count(1, || {
-        op.apply(&x, &mut y); // warm: sizes the scratch buffers
-        let before = thread_allocations();
-        for _ in 0..20 {
-            op.apply(&x, &mut y_warm);
-        }
-        thread_allocations() - before
-    });
-    assert_eq!(
-        allocs, 0,
-        "warm fast-operator apply must be allocation-free"
-    );
-    assert_eq!(y, y_warm, "reused buffers must not change the result");
+    let omega = 2.0 * std::f64::consts::PI * 3.2e9;
+    for (fils, want_aca) in [(bundles, false), (bar_pairs, true)] {
+        let rhos = vec![rlcx::geom::units::RHO_COPPER; fils.len()];
+        let kernel = KernelCache::new(1000.0);
+        let op = FastZOperator::new(&fils, &rhos, omega, &kernel);
+        let st = op.stats();
+        assert!(st.h2_couplings > 0 && st.near_blocks > 0, "{st:?}");
+        assert_eq!(st.far_blocks > 0, want_aca, "{st:?}");
+        let x: Vec<Complex> = (0..fils.len())
+            .map(|i| Complex::new((i as f64 * 0.53).cos(), (i as f64 * 0.29).sin()))
+            .collect();
+        let mut y = vec![Complex::ZERO; fils.len()];
+        let mut y_warm = vec![Complex::ZERO; fils.len()];
+
+        let allocs = with_thread_count(1, || {
+            op.apply(&x, &mut y); // warm: sizes the scratch buffers
+            let before = thread_allocations();
+            for _ in 0..20 {
+                op.apply(&x, &mut y_warm);
+            }
+            thread_allocations() - before
+        });
+        assert_eq!(
+            allocs, 0,
+            "warm fast-operator apply must be allocation-free (ACA blocks: {want_aca})"
+        );
+        assert_eq!(y, y_warm, "reused buffers must not change the result");
+    }
 }
 
 /// Enabling tracing does allocate (records are stored) — a sanity check
