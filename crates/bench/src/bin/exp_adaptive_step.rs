@@ -9,7 +9,7 @@
 //! nominal fixed step, 10× oversampled fixed reference, and adaptive — and
 //! scores the adaptive axis on delay fidelity and steps saved.
 //!
-//! Gated figures (`ci/thresholds/exp_adaptive_step.json`):
+//! Bounded figures (`ci/baselines/exp_adaptive_step.json`):
 //! * `delay.max_err_ps` — worst 50 % delay deviation of the adaptive run
 //!   from the 10× oversampled reference, in picoseconds,
 //! * `steps.saved_ratio` — worst-case accepted-step advantage over the

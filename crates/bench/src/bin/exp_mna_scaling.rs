@@ -8,7 +8,7 @@
 //! tree. (Agreement with a dense LU reference is a unit test of
 //! `rlcx-spice`, on the depth-4 tree of this sweep.)
 //!
-//! Gated figures (`ci/thresholds/exp_mna_scaling.json`):
+//! Bounded figures (`ci/baselines/exp_mna_scaling.json`):
 //! * `sparse.fill_ratio` — LU fill stays near the tree bound,
 //! * `mna.nnz_per_unknown` — assembled pattern stays sparse.
 

@@ -9,7 +9,7 @@
 //! LTE-controlled adaptive transient reference, at matched delay accuracy,
 //! with the moment-matching residual as the model-quality certificate.
 //!
-//! Gated figures (`ci/thresholds/exp_mor_speedup.json`), on the deepest
+//! Bounded figures (`ci/baselines/exp_mor_speedup.json`), on the deepest
 //! tree:
 //! * `speedup.factor` — transient time over reduce+query time (≥ 10x),
 //! * `delay.max_err_ps` — worst sink 50 %-delay disagreement (≤ 0.1 ps),

@@ -80,7 +80,6 @@ fn main() {
     );
     println!("stage breakdown:\n{}\n", build.timings);
     report.note("cache", if build.cache_hit { "hit" } else { "miss" });
-    report.absorb_timings(&build.timings);
     report.figure("table.build_s", t_build.as_secs_f64());
     let tables = build.tables;
 

@@ -7,7 +7,6 @@
 //! configurations (serial vs parallel, lookup vs solve, cold vs warm
 //! cache) run-to-run on the same machine.
 
-use rlcx::obs::RunReport;
 use std::time::Instant;
 
 /// Formats a duration in seconds with an adaptive unit.
@@ -46,20 +45,7 @@ impl Bench {
     }
 
     /// Runs and reports; returns the median seconds per iteration.
-    pub fn run<R>(&self, f: impl FnMut() -> R) -> f64 {
-        self.measure(f).0
-    }
-
-    /// [`Bench::run`] that also appends the measurement to `report` as a
-    /// [`rlcx::obs::BenchSample`], so the numbers land in the run's JSON
-    /// artifact as well as on stdout.
-    pub fn run_into<R>(&self, report: &mut RunReport, f: impl FnMut() -> R) -> f64 {
-        let (median, min) = self.measure(f);
-        report.sample(&self.name, median, min, self.samples as u64);
-        median
-    }
-
-    fn measure<R>(&self, mut f: impl FnMut() -> R) -> (f64, f64) {
+    pub fn run<R>(&self, mut f: impl FnMut() -> R) -> f64 {
         std::hint::black_box(f());
         let mut times = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
@@ -76,7 +62,7 @@ impl Bench {
             fmt_time(times[0]),
             self.samples
         );
-        (median, times[0])
+        median
     }
 }
 

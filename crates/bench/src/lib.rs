@@ -114,15 +114,8 @@ pub fn finish_report(mut report: RunReport) -> PathBuf {
     report.finish();
     if obs::trace_level() >= TraceLevel::Summary {
         eprintln!("[rlcx-trace] span tree for {}:", report.name);
-        for s in &report.spans {
-            let name = s.path.rsplit('/').next().unwrap_or(&s.path);
-            eprintln!(
-                "[rlcx-trace] {:indent$}{name:<24} {:>10.3} ms  x{}",
-                "",
-                s.total_s * 1e3,
-                s.count,
-                indent = s.depth * 2,
-            );
+        for line in obs::span_tree(&report.spans).lines() {
+            eprintln!("[rlcx-trace] {line}");
         }
         eprintln!(
             "[rlcx-trace] cache.hit = {}, cache.miss = {}",

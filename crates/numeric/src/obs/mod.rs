@@ -68,7 +68,7 @@ pub use metrics::{
     counter_add, counter_value, gauge_set, metric_value, metrics_snapshot, observe, quantile,
     reset_metrics, MetricValue,
 };
-pub use report::{BenchSample, RunReport, SpanSummary};
+pub use report::{RunReport, SpanSummary};
 pub use series::{
     reset_series, series_points, series_push, series_push_with_capacity, series_snapshot,
     SeriesSnapshot,

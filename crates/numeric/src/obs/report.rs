@@ -1,10 +1,10 @@
 //! Machine-readable run reports.
 //!
 //! A [`RunReport`] is the one artifact a bench or experiment binary leaves
-//! behind: accuracy figures (the paper-validation deltas), bench samples,
-//! stage timings, the metric registry snapshot and the aggregated span
-//! tree, serialized as stable JSON under `target/reports/<name>.json` so
-//! successive PRs can diff them.
+//! behind: accuracy figures (the paper-validation deltas), the metric
+//! registry snapshot and the aggregated span tree (the report's only
+//! stage timings), serialized as stable JSON under
+//! `target/reports/<name>.json` so successive PRs can diff them.
 //!
 //! # Schema (`rlcx-report` version 2)
 //!
@@ -14,10 +14,8 @@
 //!   "version": 2,
 //!   "name": "exp_table_accuracy",
 //!   "created_unix": 1754500000,
-//!   "env": {"threads": "8", "trace": "summary"},
+//!   "env": {"threads": "8", "cores": "4", "trace": "summary"},
 //!   "figures": {"self_l.max_rel_err": 0.0021},
-//!   "samples": [{"name": "lookup", "median_s": 1e-6, "min_s": 9e-7, "n": 10}],
-//!   "timings": {"self-table": 0.41},
 //!   "metrics": {"cache.hit": {"type": "counter", "value": 1}},
 //!   "spans": [{"path": "table.build", "depth": 0, "count": 1, "total_s": 0.5}],
 //!   "series": [{"name": "gmres.residual", "capacity": 4096, "pushed": 37,
@@ -29,27 +27,15 @@
 //! channels of [`series_push`](super::series::series_push) — and extended
 //! histogram metrics with `p50`/`p90`/`p99` quantile estimates from the
 //! sharded log-bucketed store. [`RunReport::from_json`] still accepts
-//! version-1 documents (they simply have no series and no quantiles).
+//! version-1 documents (they simply have no series and no quantiles), and
+//! ignores the `timings` and `samples` members that older version-2
+//! reports carry (the spans hold the same stages).
 
 use super::json::Json;
 use super::metrics::{self, MetricValue};
 use super::series::{self, SeriesSnapshot};
 use super::trace::{self, SpanRecord};
-use crate::timing::Timings;
 use std::path::{Path, PathBuf};
-
-/// One bench measurement inside a report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchSample {
-    /// Bench name.
-    pub name: String,
-    /// Median seconds per iteration.
-    pub median_s: f64,
-    /// Minimum seconds per iteration.
-    pub min_s: f64,
-    /// Number of samples taken.
-    pub n: u64,
-}
 
 /// One aggregated span path inside a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,14 +57,10 @@ pub struct RunReport {
     pub name: String,
     /// Unix seconds the report was created, if the clock was readable.
     pub created_unix: Option<u64>,
-    /// Free-form environment notes (`threads`, `trace`, …).
+    /// Free-form environment notes (`threads`, `cores`, `trace`, …).
     pub env: Vec<(String, String)>,
     /// Named accuracy/validation figures (max-error-vs-PEEC and friends).
     pub figures: Vec<(String, f64)>,
-    /// Bench samples.
-    pub samples: Vec<BenchSample>,
-    /// Stage label → seconds.
-    pub timings: Vec<(String, f64)>,
     /// Metric registry snapshot (filled by [`RunReport::finish`]).
     pub metrics: Vec<(String, MetricValue)>,
     /// Aggregated spans (filled by [`RunReport::finish`]).
@@ -88,8 +70,8 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// A fresh report stamped with the current time, thread count and trace
-    /// level.
+    /// A fresh report stamped with the current time, thread count,
+    /// available core count and trace level.
     pub fn new(name: impl Into<String>) -> Self {
         let created_unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -102,6 +84,12 @@ impl RunReport {
                 (
                     "threads".into(),
                     crate::parallel::thread_count().to_string(),
+                ),
+                (
+                    "cores".into(),
+                    std::thread::available_parallelism()
+                        .map_or(1, |n| n.get())
+                        .to_string(),
                 ),
                 ("trace".into(), trace::trace_level().as_str().into()),
             ],
@@ -119,38 +107,9 @@ impl RunReport {
         }
     }
 
-    /// The figure `name`, if recorded.
-    pub fn figure_value(&self, name: &str) -> Option<f64> {
-        self.figures
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Appends a bench sample.
-    pub fn sample(&mut self, name: impl Into<String>, median_s: f64, min_s: f64, n: u64) {
-        self.samples.push(BenchSample {
-            name: name.into(),
-            median_s,
-            min_s,
-            n,
-        });
-    }
-
     /// Adds a free-form environment note.
     pub fn note(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.env.push((key.into(), value.into()));
-    }
-
-    /// Merges the stages of `timings` (label → seconds, accumulating).
-    pub fn absorb_timings(&mut self, timings: &Timings) {
-        for (label, duration) in timings.stages() {
-            let secs = duration.as_secs_f64();
-            match self.timings.iter_mut().find(|(n, _)| n == label) {
-                Some((_, v)) => *v += secs,
-                None => self.timings.push((label.clone(), secs)),
-            }
-        }
     }
 
     /// Captures the current metric registry, the series channels and the
@@ -192,31 +151,6 @@ impl RunReport {
             "figures".into(),
             Json::Obj(
                 self.figures
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "samples".into(),
-            Json::Arr(
-                self.samples
-                    .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(s.name.clone())),
-                            ("median_s".into(), Json::Num(s.median_s)),
-                            ("min_s".into(), Json::Num(s.min_s)),
-                            ("n".into(), Json::Num(s.n as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "timings".into(),
-            Json::Obj(
-                self.timings
                     .iter()
                     .map(|(k, v)| (k.clone(), Json::Num(*v)))
                     .collect(),
@@ -295,42 +229,23 @@ impl RunReport {
             .and_then(Json::as_str)
             .ok_or("missing name")?
             .to_string();
-        let str_pairs = |key: &str| -> Vec<(String, String)> {
-            root.get(key)
-                .and_then(Json::as_object)
-                .map(|members| {
-                    members
-                        .iter()
-                        .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let num_pairs = |key: &str| -> Vec<(String, f64)> {
-            root.get(key)
-                .and_then(Json::as_object)
-                .map(|members| {
-                    members
-                        .iter()
-                        .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let samples = root
-            .get("samples")
-            .and_then(Json::as_array)
-            .map(|items| {
-                items
+        let env = root
+            .get("env")
+            .and_then(Json::as_object)
+            .map(|members| {
+                members
                     .iter()
-                    .filter_map(|s| {
-                        Some(BenchSample {
-                            name: s.get("name")?.as_str()?.to_string(),
-                            median_s: s.get("median_s")?.as_f64()?,
-                            min_s: s.get("min_s")?.as_f64()?,
-                            n: s.get("n")?.as_u64()?,
-                        })
-                    })
+                    .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+                    .collect()
+            })
+            .unwrap_or_default();
+        let figures = root
+            .get("figures")
+            .and_then(Json::as_object)
+            .map(|members| {
+                members
+                    .iter()
+                    .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
                     .collect()
             })
             .unwrap_or_default();
@@ -389,10 +304,8 @@ impl RunReport {
         Ok(RunReport {
             name,
             created_unix: root.get("created_unix").and_then(Json::as_u64),
-            env: str_pairs("env"),
-            figures: num_pairs("figures"),
-            samples,
-            timings: num_pairs("timings"),
+            env,
+            figures,
             metrics,
             spans,
             series,
@@ -503,10 +416,6 @@ mod tests {
         };
         r.figure("self_l.max_rel_err", 0.0021);
         r.figure("speedup", 9000.0);
-        r.sample("lookup", 1.2e-6, 0.9e-6, 10);
-        let mut t = Timings::new();
-        t.record("self-table", Duration::from_millis(410));
-        r.absorb_timings(&t);
         r.metrics = vec![
             ("cache.hit".into(), MetricValue::Counter(1)),
             ("threads.used".into(), MetricValue::Gauge(4.0)),
@@ -550,9 +459,7 @@ mod tests {
         let mut r = RunReport::new("x");
         r.figure("err", 1.0);
         r.figure("err", 2.0);
-        assert_eq!(r.figure_value("err"), Some(2.0));
-        assert_eq!(r.figure_value("missing"), None);
-        assert_eq!(r.figures.len(), 1);
+        assert_eq!(r.figures, vec![("err".to_string(), 2.0)]);
     }
 
     #[test]
@@ -582,6 +489,15 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn ignores_legacy_timings_and_samples() {
+        let old = r#"{"schema": "rlcx-report", "version": 2, "name": "old",
+                      "figures": {"err": 0.5}, "timings": {"self-table": 0.41},
+                      "samples": [{"name": "x", "median_s": 1.0, "min_s": 1.0, "n": 1}]}"#;
+        let r = RunReport::from_json(old).unwrap();
+        assert_eq!(r.figures, vec![("err".to_string(), 0.5)]);
     }
 
     #[test]

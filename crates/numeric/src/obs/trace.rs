@@ -3,11 +3,13 @@
 //! A [`Span`] is a drop guard: creating one pushes a frame on a
 //! thread-local stack, dropping it records a [`SpanRecord`] (full nesting
 //! path, depth, thread id, start offset, duration) into a global buffer
-//! that [`take_spans`] drains and [`span_tree`] renders. When the level is
+//! that [`take_spans`] drains; [`span_tree`] renders them once aggregated
+//! into a run report. When the level is
 //! [`TraceLevel::Off`] — the default — [`span`] returns an inert guard
 //! without touching the stack or allocating, so instrumentation can stay
 //! compiled into hot paths.
 
+use super::report::SpanSummary;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -202,45 +204,19 @@ pub fn take_spans() -> Vec<SpanRecord> {
     }
 }
 
-/// A copy of every span recorded so far, without draining.
-pub fn spans_snapshot() -> Vec<SpanRecord> {
-    records().lock().map(|r| r.clone()).unwrap_or_default()
-}
-
-/// Renders spans as an indented tree: paths aggregated (count, total
-/// duration), ordered by first completion of each path, indented by depth.
-pub fn span_tree(spans: &[SpanRecord]) -> String {
-    // Aggregate by path, preserving first-seen order.
-    let mut order: Vec<&str> = Vec::new();
-    let mut agg: Vec<(usize, usize, Duration)> = Vec::new(); // (depth, count, total)
-    for s in spans {
-        match order.iter().position(|p| *p == s.path) {
-            Some(i) => {
-                agg[i].1 += 1;
-                agg[i].2 += s.duration;
-            }
-            None => {
-                order.push(&s.path);
-                agg.push((s.depth, 1, s.duration));
-            }
-        }
-    }
-    // Parents complete after their children, so sort by path for a stable
-    // tree shape (a parent path is a prefix of its children's paths).
-    let mut rows: Vec<(usize, &(usize, usize, Duration))> = (0..order.len())
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|i| (i, &agg[i]))
-        .collect();
-    rows.sort_by(|a, b| order[a.0].cmp(order[b.0]));
+/// Renders aggregated spans (a report's `spans`) as an indented tree:
+/// one line per path with its total milliseconds and count, indented by
+/// depth.
+pub fn span_tree(spans: &[SpanSummary]) -> String {
     let mut out = String::new();
-    for (i, (depth, count, total)) in rows {
-        let name = order[i].rsplit('/').next().unwrap_or(order[i]);
+    for s in spans {
+        let name = s.path.rsplit('/').next().unwrap_or(&s.path);
         out.push_str(&format!(
-            "{:indent$}{name:<24} {:>10.3} ms  x{count}\n",
+            "{:indent$}{name:<24} {:>10.3} ms  x{}\n",
             "",
-            total.as_secs_f64() * 1e3,
-            indent = depth * 2,
+            s.total_s * 1e3,
+            s.count,
+            indent = s.depth * 2,
         ));
     }
     out
@@ -321,7 +297,7 @@ mod tests {
                 duration: Duration::from_millis(5),
             },
         ];
-        let tree = span_tree(&spans);
+        let tree = span_tree(&super::super::report::aggregate_spans(&spans));
         let lines: Vec<&str> = tree.lines().collect();
         assert!(lines[0].starts_with("outer"));
         assert!(lines[1].starts_with("  inner"));

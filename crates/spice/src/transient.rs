@@ -85,8 +85,9 @@ impl Default for AdaptiveOptions {
     }
 }
 
-/// Step attempts (accepted + rejected) after which an adaptive run aborts
-/// with [`SpiceError::BadSimParams`], a guard against unmeetable tolerances.
+/// Step attempts (accepted + rejected) after which a run aborts with
+/// [`SpiceError::BadSimParams`], a guard against unmeetable tolerances; a
+/// fixed run needing more steps is refused before anything is allocated.
 const MAX_ATTEMPTS: usize = 2_000_000;
 
 impl AdaptiveOptions {
@@ -264,6 +265,10 @@ impl Policy {
         let trap = tr.method == IntegrationMethod::Trapezoidal;
         let Stepping::Adaptive(opts) = &tr.stepping else {
             let steps = (duration / h).round() as usize;
+            if steps > MAX_ATTEMPTS {
+                let what = format!("{steps} fixed steps exceed the {MAX_ATTEMPTS}-step budget");
+                return Err(SpiceError::BadSimParams { what });
+            }
             let k = coeff(h, trap);
             return Ok((Policy::Fixed { steps, k }, steps + 1));
         };
@@ -279,8 +284,9 @@ impl Policy {
         bps.dedup_by(|a, b| (*a - *b).abs() <= t_eps);
         obs::counter_add("spice.breakpoints", bps.len() as u64);
         // Adaptive runs take far fewer samples than `duration/timestep`, so
-        // growing the recorder inside the loop is the exception.
-        let samples = (2.0 * duration / h).ceil() as usize + 4 * bps.len() + 64;
+        // growing the recorder inside the loop is the exception. No run
+        // records more than `MAX_ATTEMPTS` steps.
+        let samples = ((2.0 * duration / h).ceil() as usize + 4 * bps.len() + 64).min(MAX_ATTEMPTS);
         bps.retain(|&tb| tb > t_eps);
         bps.reverse();
         let adaptive = Adaptive {
@@ -477,8 +483,8 @@ impl<'a> Transient<'a> {
     /// # Errors
     ///
     /// * [`SpiceError::BadSimParams`] for non-positive step/duration, a
-    ///   step larger than the duration, malformed adaptive options, or an
-    ///   adaptive run exceeding its attempt budget,
+    ///   step larger than the duration, malformed adaptive options, or a
+    ///   run exceeding its step budget,
     /// * [`SpiceError::SingularMna`] if the MNA matrix is singular for a
     ///   diagnosable structural reason (floating node, ideal-branch
     ///   loop), [`SpiceError::Numeric`] otherwise.
@@ -946,6 +952,30 @@ mod tests {
             Err(SpiceError::BadSimParams { .. })
         ));
         assert!(run(AdaptiveOptions::default()).is_ok());
+    }
+
+    #[test]
+    fn step_budget_bounds_the_recorder() {
+        // 1 s at 1 fs is 10^15 steps: neither stepping mode may pre-size
+        // the recorder for that many samples (the allocator aborts).
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.vsource("V", a, GROUND, Waveform::step(1.0, 0.0))
+            .unwrap();
+        nl.resistor("R", a, GROUND, 1.0).unwrap();
+        let tr = Transient::new(&nl).timestep(1e-15).duration(1.0);
+        // Fixed stepping would need 10^15 steps: refused up front.
+        let fixed = tr.clone().run();
+        assert!(
+            matches!(fixed, Err(SpiceError::BadSimParams { .. })),
+            "{fixed:?}"
+        );
+        // Adaptive stepping only starts at 1 fs; the step controller grows
+        // the step and the run finishes in a few dozen steps.
+        let adaptive = tr.stepping(Stepping::Adaptive(AdaptiveOptions::default()));
+        let res = adaptive.run().unwrap();
+        assert!(res.steps_accepted() < 1000, "{}", res.steps_accepted());
+        assert_eq!(res.time().last().copied(), Some(1.0));
     }
 
     #[test]
