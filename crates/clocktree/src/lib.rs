@@ -204,7 +204,11 @@ impl<'a> ClockTreeAnalyzer<'a> {
         self
     }
 
-    /// Sets the per-stage simulation window (s).
+    /// Sets the per-stage simulation window (s). A transient stage stops
+    /// at the step where its source and every sink have crossed midswing,
+    /// so the window is an upper bound: it costs nothing to set generously,
+    /// and a sink that has not crossed by its end is an error. The reduced
+    /// path searches crossings up to it.
     #[must_use]
     pub fn duration(mut self, t: f64) -> Self {
         self.duration = t;
@@ -283,17 +287,23 @@ impl<'a> ClockTreeAnalyzer<'a> {
             }
             return Ok(delays);
         }
+        // The run stops once the source and every sink have crossed
+        // midswing — the threshold and direction `delay_50` measures — so
+        // the recorded prefix, and every delay read from it, is the full
+        // window's, bit for bit.
+        let swing = self.buffer.swing;
+        let watched = std::iter::once("drv_in").chain(out.sinks.iter().map(String::as_str));
         let res = Transient::new(&out.netlist)
             .timestep(self.timestep)
             .duration(self.duration)
             .stepping(self.stepping.clone())
+            .stop_when_crossed(watched, 0.5 * swing, swing > 0.0)
             .run()?;
-        let time = res.time().to_vec();
-        let vin = res.voltage("drv_in")?.to_vec();
+        let vin = res.voltage("drv_in")?;
         let mut delays = Vec::with_capacity(out.sinks.len());
         for sink in &out.sinks {
-            let vout = res.voltage(sink)?.to_vec();
-            let d = measure::delay_50(&time, &vin, &vout, 0.0, self.buffer.swing).ok_or(
+            let vout = res.voltage(sink)?;
+            let d = measure::delay_50(res.time(), vin, vout, 0.0, swing).ok_or(
                 CoreError::MissingTable {
                     what: format!("sink {sink} never reached midswing — lengthen the window"),
                 },

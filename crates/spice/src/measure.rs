@@ -4,6 +4,20 @@
 //! 47.6 ps for Figure 1 without/with inductance), overshoot/undershoot on
 //! the RLC waveform (Figure 3), and clock skew across sinks (Section V).
 
+/// Whether the sample pair `v0 → v1` crosses `threshold` in the given
+/// direction: it ends at or past the threshold from strictly before it,
+/// or departs from exactly the threshold. [`cross_time`] reports the
+/// first pair for which this holds, and a transient's stop rule
+/// ([`crate::Transient::stop_when_crossed`]) ends the run on it, so the
+/// two agree on every recorded prefix.
+pub fn crosses(v0: f64, v1: f64, threshold: f64, rising: bool) -> bool {
+    if rising {
+        (v0 < threshold && v1 >= threshold) || (v0 == threshold && v1 > threshold)
+    } else {
+        (v0 > threshold && v1 <= threshold) || (v0 == threshold && v1 < threshold)
+    }
+}
+
 /// First time `v` crosses `threshold` in the given direction at or after
 /// `after`, linearly interpolated between samples. Returns `None` if it
 /// never crosses.
@@ -31,12 +45,7 @@ pub fn cross_time(
             continue;
         }
         let (v0, v1) = (v[i - 1], v[i]);
-        let crossed = if rising {
-            (v0 < threshold && v1 >= threshold) || (v0 == threshold && v1 > threshold)
-        } else {
-            (v0 > threshold && v1 <= threshold) || (v0 == threshold && v1 < threshold)
-        };
-        if crossed {
+        if crosses(v0, v1, threshold, rising) {
             let frac = (threshold - v0) / (v1 - v0);
             let tc = time[i - 1] + frac * (time[i] - time[i - 1]);
             return Some(tc.max(after));

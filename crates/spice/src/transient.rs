@@ -24,12 +24,20 @@
 //!   reuse the sparse symbolic factorization through a numeric-only
 //!   refactorization.
 //!
+//! A run covers `duration` unless an opt-in stop rule
+//! ([`Transient::stop_when_crossed`]) ends it early: after the first
+//! committed step at which every watched node has crossed a threshold.
+//! The samples before that step are those of the full run, bit for bit,
+//! so the duration becomes an upper bound that costs nothing to set
+//! generously.
+//!
 //! Every system is factored by the fill-reducing sparse LU of
 //! `rlcx_numeric::sparse` (clocktree MNA matrices have O(n) nonzeros),
 //! and the step loop runs without heap allocation — right-hand side,
 //! solution, scratch buffers and result columns are preallocated and
 //! reused.
 
+use crate::measure;
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::stamp::{MnaFactor, MnaLayout};
 use crate::{Result, SpiceError};
@@ -89,6 +97,12 @@ impl Default for AdaptiveOptions {
 /// [`SpiceError::BadSimParams`], a guard against unmeetable tolerances; a
 /// fixed run needing more steps is refused before anything is allocated.
 const MAX_ATTEMPTS: usize = 2_000_000;
+
+/// Byte budget for the adaptive recorder's pre-size, summed over the time
+/// axis and every result column. A run that records more samples grows
+/// its columns past it; a fixed run pre-sizes exactly and is bounded by
+/// `MAX_ATTEMPTS` instead.
+const ADAPTIVE_PRESIZE_BYTES: usize = 64 << 20;
 
 impl AdaptiveOptions {
     /// Validates the options and returns the step bounds `(h_min, h_max)`
@@ -274,10 +288,16 @@ impl Policy {
         };
         let (h_min, h_max) = opts.step_bounds(h, duration)?;
         let t_eps = duration * 1e-12;
+        // Every breakpoint ends a step, so a source with more corners than
+        // the attempt budget could never finish: refuse it before listing.
         let mut bps = Vec::new();
         for e in &nl.elements {
-            if let Element::VSource { wave, .. } = e {
-                wave.breakpoints(duration, &mut bps);
+            if let Element::VSource { name, wave, .. } = e {
+                let budget = MAX_ATTEMPTS.saturating_sub(bps.len());
+                wave.breakpoints(duration, budget, &mut bps)
+                    .map_err(|what| SpiceError::BadSimParams {
+                        what: format!("source {name}: {what}"),
+                    })?;
             }
         }
         bps.sort_by(f64::total_cmp);
@@ -285,8 +305,12 @@ impl Policy {
         obs::counter_add("spice.breakpoints", bps.len() as u64);
         // Adaptive runs take far fewer samples than `duration/timestep`, so
         // growing the recorder inside the loop is the exception. No run
-        // records more than `MAX_ATTEMPTS` steps.
-        let samples = ((2.0 * duration / h).ceil() as usize + 4 * bps.len() + 64).min(MAX_ATTEMPTS);
+        // records more than `MAX_ATTEMPTS` steps, and a large system
+        // pre-sizes no more than the byte budget across its columns.
+        let columns = 1 + layout.nv + 1 + layout.branch_elems.len();
+        let samples = ((2.0 * duration / h).ceil() as usize + 4 * bps.len() + 64)
+            .min(MAX_ATTEMPTS)
+            .min(ADAPTIVE_PRESIZE_BYTES / (8 * columns));
         bps.retain(|&tb| tb > t_eps);
         bps.reverse();
         let adaptive = Adaptive {
@@ -434,6 +458,70 @@ pub struct Transient<'a> {
     duration: f64,
     method: IntegrationMethod,
     stepping: Stepping,
+    stop: Option<StopRule>,
+}
+
+/// The run-level stop rule of [`Transient::stop_when_crossed`].
+#[derive(Debug, Clone)]
+struct StopRule {
+    nodes: Vec<String>,
+    threshold: f64,
+    rising: bool,
+}
+
+/// A [`StopRule`] resolved against the netlist: per watched node its id,
+/// its last committed sample and whether it has crossed. Built from the
+/// `t = 0` sample before the step loop, so watching allocates nothing per
+/// step.
+struct Watch {
+    threshold: f64,
+    rising: bool,
+    nodes: Vec<(NodeId, f64, bool)>,
+    pending: usize,
+}
+
+impl Watch {
+    fn new(rule: &StopRule, nl: &Netlist, x: &[f64]) -> Result<Self> {
+        let bad = |what: String| Err(SpiceError::BadSimParams { what });
+        if rule.nodes.is_empty() {
+            return bad("the stop rule watches no node".into());
+        }
+        if !rule.threshold.is_finite() {
+            return bad(format!(
+                "stop threshold must be finite, got {}",
+                rule.threshold
+            ));
+        }
+        let nodes = rule
+            .nodes
+            .iter()
+            .map(|name| {
+                let n = nl.find_node(name)?;
+                Ok((n, volt_of(x, n), false))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Watch {
+            threshold: rule.threshold,
+            rising: rule.rising,
+            pending: nodes.len(),
+            nodes,
+        })
+    }
+
+    /// Advances to the committed sample `x`; true once every watched node
+    /// has crossed, judged pair by pair exactly as [`measure::cross_time`]
+    /// judges the recorded columns.
+    fn crossed_all(&mut self, x: &[f64]) -> bool {
+        for (n, last, crossed) in &mut self.nodes {
+            let v = volt_of(x, *n);
+            if !*crossed && measure::crosses(*last, v, self.threshold, self.rising) {
+                *crossed = true;
+                self.pending -= 1;
+            }
+            *last = v;
+        }
+        self.pending == 0
+    }
 }
 
 impl<'a> Transient<'a> {
@@ -446,6 +534,7 @@ impl<'a> Transient<'a> {
             duration: 5e-9,
             method: IntegrationMethod::default(),
             stepping: Stepping::default(),
+            stop: None,
         }
     }
 
@@ -457,7 +546,8 @@ impl<'a> Transient<'a> {
         self
     }
 
-    /// Sets the total simulated duration (seconds).
+    /// Sets the simulated duration (seconds): the whole run, or its upper
+    /// bound under [`Transient::stop_when_crossed`].
     #[must_use]
     pub fn duration(mut self, t: f64) -> Self {
         self.duration = t;
@@ -478,13 +568,40 @@ impl<'a> Transient<'a> {
         self
     }
 
+    /// Ends the run after the first committed step at which every node in
+    /// `nodes` has crossed `threshold` in the given direction (rising
+    /// when `rising`), so the duration becomes an upper bound. A crossing
+    /// is judged on consecutive samples by [`measure::crosses`], so the
+    /// rule fires exactly when [`measure::cross_time`] on the recorded
+    /// prefix finds every node's first crossing, and every sample up to
+    /// that step is the one a full run records. A run in which some node
+    /// never crosses covers the whole duration.
+    ///
+    /// Counts `spice.stops` per stopped run and, under fixed stepping,
+    /// the steps not taken in `spice.steps.saved`.
+    #[must_use]
+    pub fn stop_when_crossed<I, S>(mut self, nodes: I, threshold: f64, rising: bool) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        self.stop = Some(StopRule {
+            nodes: nodes.into_iter().map(Into::into).collect(),
+            threshold,
+            rising,
+        });
+        self
+    }
+
     /// Runs the analysis.
     ///
     /// # Errors
     ///
     /// * [`SpiceError::BadSimParams`] for non-positive step/duration, a
-    ///   step larger than the duration, malformed adaptive options, or a
-    ///   run exceeding its step budget,
+    ///   step larger than the duration, malformed adaptive options, a
+    ///   stop rule with no node or a non-finite threshold, or a run
+    ///   exceeding its step budget,
+    /// * [`SpiceError::Unknown`] for a stop-rule node not in the netlist,
     /// * [`SpiceError::SingularMna`] if the MNA matrix is singular for a
     ///   diagnosable structural reason (floating node, ideal-branch
     ///   loop), [`SpiceError::Numeric`] otherwise.
@@ -531,6 +648,11 @@ impl<'a> Transient<'a> {
         let mut cap_current = vec![0.0; nl.elements.len()];
         let mut rec = Recorder::new(&layout, samples);
         rec.record(0.0, &x);
+        let mut watch = self
+            .stop
+            .as_ref()
+            .map(|r| Watch::new(r, nl, &x))
+            .transpose()?;
 
         let (mut t, mut accepted, mut rejected) = (0.0, 0, 0);
         while let Some(step) = policy.propose(self, t, accepted + rejected)? {
@@ -546,6 +668,13 @@ impl<'a> Transient<'a> {
             t = step.t_end;
             accepted += 1;
             rec.record(t, &x);
+            if watch.as_mut().is_some_and(|w| w.crossed_all(&x)) {
+                obs::counter_add("spice.stops", 1);
+                if let Policy::Fixed { steps, .. } = policy {
+                    obs::counter_add("spice.steps.saved", (steps - accepted) as u64);
+                }
+                break;
+            }
         }
         // The MNA system is linear, so each step is one back-substitution —
         // there is no Newton loop to count, only steps.
@@ -1287,5 +1416,185 @@ mod tests {
             }
             other => panic!("expected SingularMna, got {other:?}"),
         }
+    }
+
+    /// An RLC ladder driven by a 20 ps ramp, taps `n0`..`n3` crossing
+    /// midswing one after the other.
+    fn ladder() -> Netlist {
+        let mut nl = Netlist::new();
+        let inp = nl.node("in");
+        nl.vsource("V", inp, GROUND, Waveform::ramp(0.0, 1.0, 0.0, 20e-12))
+            .unwrap();
+        let mut prev = inp;
+        for i in 0..4 {
+            let mid = nl.node(format!("m{i}"));
+            let out = nl.node(format!("n{i}"));
+            nl.resistor(&format!("R{i}"), prev, mid, 20.0).unwrap();
+            nl.inductor(&format!("L{i}"), mid, out, 0.5e-9).unwrap();
+            nl.capacitor(&format!("C{i}"), out, GROUND, 50e-15).unwrap();
+            prev = out;
+        }
+        nl
+    }
+
+    /// Every column of `part` is a bit-exact prefix of the same column of
+    /// `full`.
+    fn assert_prefix(part: &TransientResult, full: &TransientResult) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let n = part.time().len();
+        assert!(n <= full.time().len());
+        assert_eq!(bits(part.time()), bits(&full.time()[..n]), "time axis");
+        for name in full.node_names() {
+            let (p, f) = (part.voltage(name).unwrap(), full.voltage(name).unwrap());
+            assert_eq!(bits(p), bits(&f[..n]), "node {name}");
+        }
+        for name in ["V", "L0", "L1", "L2", "L3"] {
+            let (p, f) = (part.current(name).unwrap(), full.current(name).unwrap());
+            assert_eq!(bits(p), bits(&f[..n]), "branch {name}");
+        }
+    }
+
+    #[test]
+    fn stopped_run_is_a_bit_exact_prefix_of_the_full_run() {
+        let nl = ladder();
+        let watched = ["in", "n1", "n3"];
+        for stepping in [
+            Stepping::Fixed,
+            Stepping::Adaptive(AdaptiveOptions::default()),
+        ] {
+            let tr = Transient::new(&nl)
+                .timestep(0.5e-12)
+                .duration(3e-9)
+                .stepping(stepping.clone());
+            let full = tr.clone().run().unwrap();
+            let part = tr.stop_when_crossed(watched, 0.5, true).run().unwrap();
+            assert!(
+                part.time().len() * 2 < full.time().len(),
+                "{stepping:?}: stopped after {} of {} samples",
+                part.time().len(),
+                full.time().len()
+            );
+            assert_prefix(&part, &full);
+            // The stop is the last first crossing, and `cross_time` finds
+            // every watched crossing on the prefix at the full run's time.
+            let time = part.time();
+            let mut last = 0;
+            for node in watched {
+                let v = part.voltage(node).unwrap();
+                let tc = measure::cross_time(time, v, 0.5, true, 0.0);
+                let tf =
+                    measure::cross_time(full.time(), full.voltage(node).unwrap(), 0.5, true, 0.0);
+                assert_eq!(tc.map(f64::to_bits), tf.map(f64::to_bits), "{node}");
+                let first = (1..v.len()).find(|&i| measure::crosses(v[i - 1], v[i], 0.5, true));
+                last = last.max(first.expect("crossed on the prefix"));
+            }
+            assert_eq!(last, time.len() - 1, "{stepping:?}: stopped late");
+        }
+    }
+
+    #[test]
+    fn stop_rule_without_a_crossing_runs_the_full_window() {
+        let nl = ladder();
+        for stepping in [
+            Stepping::Fixed,
+            Stepping::Adaptive(AdaptiveOptions::default()),
+        ] {
+            let tr = Transient::new(&nl)
+                .timestep(1e-12)
+                .duration(1e-9)
+                .stepping(stepping);
+            let full = tr.clone().run().unwrap();
+            // `n0` crosses, the 2 V level never does; falling never either.
+            for (threshold, rising) in [(2.0, true), (0.5, false)] {
+                let run = tr
+                    .clone()
+                    .stop_when_crossed(["n0", "n3"], threshold, rising)
+                    .run()
+                    .unwrap();
+                assert_eq!(run.time().len(), full.time().len());
+                assert_prefix(&run, &full);
+            }
+            // Ground never moves, so watching it never stops a run.
+            let grounded = tr.stop_when_crossed(["0"], 0.5, true).run().unwrap();
+            assert_eq!(grounded.time().len(), full.time().len());
+        }
+    }
+
+    #[test]
+    fn stop_rule_rejects_bad_nodes_and_thresholds() {
+        let nl = ladder();
+        let tr = Transient::new(&nl).timestep(1e-12).duration(1e-10);
+        match tr
+            .clone()
+            .stop_when_crossed(["n0", "nope"], 0.5, true)
+            .run()
+        {
+            Err(SpiceError::Unknown { what }) => assert!(what.contains("nope"), "{what}"),
+            other => panic!("expected Unknown, got {other:?}"),
+        }
+        let none: [&str; 0] = [];
+        for bad in [
+            tr.clone().stop_when_crossed(none, 0.5, true),
+            tr.clone().stop_when_crossed(["n0"], f64::NAN, true),
+        ] {
+            assert!(
+                matches!(bad.run(), Err(SpiceError::BadSimParams { .. })),
+                "malformed stop rule accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn sub_ulp_pulse_period_is_refused_before_listing_breakpoints() {
+        // 1e-30 s never advances a 1 ns delay in f64: listing its corners
+        // used to grow the breakpoint list until memory ran out.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let wave = Waveform::pulse(0.0, 1.0, 1e-9, 0.0, 0.0, 0.0, 1e-30);
+        nl.vsource("V", a, GROUND, wave).unwrap();
+        nl.resistor("R", a, GROUND, 1.0).unwrap();
+        let run = Transient::new(&nl)
+            .duration(3e-9)
+            .stepping(Stepping::Adaptive(AdaptiveOptions::default()))
+            .run();
+        match run {
+            Err(SpiceError::BadSimParams { what }) => {
+                assert!(
+                    what.contains("source V") && what.contains("budget"),
+                    "{what}"
+                )
+            }
+            other => panic!("expected BadSimParams, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn adaptive_presize_is_bounded_in_bytes() {
+        // 400 RC sections: 802 recorded columns. A 1 s window at 1 ps
+        // would pre-size `MAX_ATTEMPTS` samples per column (~13 GB); the
+        // byte budget caps the total instead.
+        let mut nl = Netlist::new();
+        let mut prev = nl.node("in");
+        nl.vsource("V", prev, GROUND, Waveform::step(1.0, 0.0))
+            .unwrap();
+        for i in 0..400 {
+            let out = nl.node(format!("n{i}"));
+            nl.resistor(&format!("R{i}"), prev, out, 10.0).unwrap();
+            nl.capacitor(&format!("C{i}"), out, GROUND, 1e-15).unwrap();
+            prev = out;
+        }
+        let layout = MnaLayout::new(&nl).unwrap();
+        let columns = 1 + layout.nv + 1 + layout.branch_elems.len();
+        let tr = Transient::new(&nl).timestep(1e-12).duration(1.0);
+        let adaptive = tr
+            .clone()
+            .stepping(Stepping::Adaptive(AdaptiveOptions::default()));
+        let (_, samples) = Policy::new(&adaptive, &layout).unwrap();
+        assert_eq!(samples, ADAPTIVE_PRESIZE_BYTES / (8 * columns));
+        assert!(samples * columns * 8 <= ADAPTIVE_PRESIZE_BYTES);
+        // A fixed run keeps its exact pre-size: one sample per step.
+        let fixed = tr.duration(1e-9);
+        let (_, samples) = Policy::new(&fixed, &layout).unwrap();
+        assert_eq!(samples, 1001);
     }
 }

@@ -172,7 +172,20 @@ impl Waveform {
     ///
     /// Times are appended unsorted and may repeat (e.g. a zero-rise edge
     /// contributes coincident corners); callers sort and deduplicate.
-    pub fn breakpoints(&self, t_end: f64, out: &mut Vec<f64>) {
+    ///
+    /// # Errors
+    ///
+    /// A pulse train with more than `budget` corners before `t_end` — a
+    /// period far below the window, or one too short to advance `f64`
+    /// time at all — or a PWL list of more than `budget` knots returns a
+    /// description and appends nothing, so the caller never allocates in
+    /// proportion to the period count.
+    pub fn breakpoints(
+        &self,
+        t_end: f64,
+        budget: usize,
+        out: &mut Vec<f64>,
+    ) -> std::result::Result<(), String> {
         let mut push = |t: f64| {
             if t > 0.0 && t < t_end {
                 out.push(t);
@@ -194,8 +207,21 @@ impl Waveform {
                 } else {
                     0.0
                 };
+                // Cycles starting before `t_end`; rounding in the running
+                // sum below can add at most one more.
+                let cycles = if effective > 0.0 && *delay < t_end {
+                    ((t_end - delay) / effective).ceil().max(1.0)
+                } else {
+                    1.0
+                };
+                if 4.0 * (cycles + 1.0) > budget as f64 {
+                    return Err(format!(
+                        "pulse period {period:e} s gives {cycles:e} cycles before {t_end:e} s, \
+                         over the {budget}-breakpoint budget"
+                    ));
+                }
                 let mut base = *delay;
-                loop {
+                for _ in 0..=cycles as usize {
                     push(base);
                     push(base + rise);
                     push(base + rise + width);
@@ -210,11 +236,18 @@ impl Waveform {
                 }
             }
             Waveform::Pwl(points) => {
+                if points.len() > budget {
+                    return Err(format!(
+                        "{} PWL knots exceed the {budget}-breakpoint budget",
+                        points.len()
+                    ));
+                }
                 for &(t, _) in points {
                     push(t);
                 }
             }
         }
+        Ok(())
     }
 
     /// Validates the waveform parameters, returning a description of the
@@ -363,7 +396,7 @@ mod tests {
     fn pulse_breakpoints_cover_periodic_corners() {
         let w = Waveform::pulse(0.0, 1.0, 1e-9, 1e-9, 1e-9, 2e-9, 10e-9);
         let mut bps = Vec::new();
-        w.breakpoints(25e-9, &mut bps);
+        w.breakpoints(25e-9, 100, &mut bps).unwrap();
         bps.sort_by(f64::total_cmp);
         bps.dedup();
         // Corners per cycle: delay, +rise, +rise+width, +cycle.
@@ -381,15 +414,36 @@ mod tests {
     #[test]
     fn pwl_and_step_breakpoints() {
         let mut bps = Vec::new();
-        Waveform::step(1.0, 0.0).breakpoints(1e-9, &mut bps);
+        Waveform::step(1.0, 0.0)
+            .breakpoints(1e-9, 100, &mut bps)
+            .unwrap();
         // The t = 0 edge is the simulation start, not an interior corner.
         assert!(bps.is_empty(), "{bps:?}");
         bps.clear();
-        Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 1.0), (3e-9, 0.5)]).breakpoints(2e-9, &mut bps);
+        Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 1.0), (3e-9, 0.5)])
+            .breakpoints(2e-9, 100, &mut bps)
+            .unwrap();
         assert_eq!(bps, vec![1e-9]);
         bps.clear();
-        Waveform::Dc(5.0).breakpoints(1.0, &mut bps);
+        Waveform::Dc(5.0).breakpoints(1.0, 100, &mut bps).unwrap();
         assert!(bps.is_empty());
+    }
+
+    #[test]
+    fn pulse_breakpoints_refuse_a_period_below_the_budget() {
+        // 1e-30 s is below the ulp of the 1 ns delay: a running sum of
+        // periods never advances, so an unbounded walk appends forever.
+        let w = Waveform::pulse(0.0, 1.0, 1e-9, 0.0, 0.0, 0.0, 1e-30);
+        let mut bps = Vec::new();
+        let err = w.breakpoints(3e-9, 1_000_000, &mut bps).unwrap_err();
+        assert!(err.contains("budget"), "{err}");
+        assert_eq!(bps.capacity(), 0, "nothing may be appended");
+        // The same train over a window it fits in is listed in full.
+        let w = Waveform::pulse(0.0, 1.0, 1e-9, 0.0, 0.0, 0.0, 1e-10);
+        w.breakpoints(2.95e-9, 1_000, &mut bps).unwrap();
+        bps.sort_by(f64::total_cmp);
+        bps.dedup();
+        assert_eq!(bps.len(), 20, "{bps:?}");
     }
 
     #[test]

@@ -2,10 +2,11 @@
 
 use rlcx::cap::VariationSpec;
 use rlcx::clocktree::{BufferModel, ClockTreeAnalyzer};
-use rlcx::core::{ClocktreeExtractor, TableBuilder};
-use rlcx::geom::{Block, HTree, Stackup};
+use rlcx::core::{ClocktreeExtractor, TableBuilder, TreeNetlistBuilder};
+use rlcx::geom::{Block, BlockBuilder, HTree, Stackup};
 use rlcx::numeric::rng::SplitMix64;
 use rlcx::peec::MeshSpec;
+use rlcx::spice::{measure, Transient, Waveform};
 
 fn extractor() -> ClocktreeExtractor {
     let stackup = Stackup::hp_six_metal_copper();
@@ -130,4 +131,107 @@ fn stage_delay_positive_and_bounded() {
     for d in delays {
         assert!(d > 1e-12 && d < 1e-9, "stage delay {d} out of band");
     }
+}
+
+/// The analyzer's Monte-Carlo walk, re-run through the layer calls with
+/// every stage simulated over the whole window: the same draws, the same
+/// stage netlists, then a full-window transient and `measure::delay_50`.
+fn full_window_walk(
+    ex: &ClocktreeExtractor,
+    htree: &HTree,
+    cross: &Block,
+    nominal_l: bool,
+    seed: u64,
+) -> Vec<f64> {
+    // `ClockTreeAnalyzer::new`'s defaults.
+    let (sections, timestep, window) = (4, 0.5e-12, 3e-9);
+    let buf = BufferModel::strong();
+    let spec = VariationSpec::typical();
+    let mut rng = SplitMix64::new(seed);
+    let mut totals = vec![buf.intrinsic_delay];
+    for level in htree.iter() {
+        let stage = level.stage_tree();
+        let loads = vec![buf.input_cap; stage.leaves().len()];
+        let mut next = Vec::new();
+        for &t in &totals {
+            let (sampled, _, _) = spec.sample_block(cross, &mut rng).unwrap();
+            let block = if nominal_l {
+                // Nominal widths (nominal L), sampled spacings (the draw's C).
+                let mut b = BlockBuilder::new(cross.length()).shield(cross.shield());
+                for (i, &w) in cross.widths().iter().enumerate() {
+                    b = b.trace(w);
+                    if let Some(&sp) = sampled.spacings().get(i) {
+                        b = b.space(sp);
+                    }
+                }
+                b.build().unwrap()
+            } else {
+                sampled
+            };
+            let out = TreeNetlistBuilder::new(ex)
+                .sections_per_segment(sections)
+                .include_inductance(true)
+                .driver_resistance(buf.resistance)
+                .input(Waveform::ramp(0.0, buf.swing, 0.0, buf.rise_time))
+                .sink_caps(loads.clone())
+                .build(&stage, &block)
+                .unwrap();
+            let res = Transient::new(&out.netlist)
+                .timestep(timestep)
+                .duration(window)
+                .run()
+                .unwrap();
+            assert_eq!(res.steps_accepted(), 6000, "the walk covers the window");
+            let vin = res.voltage("drv_in").unwrap();
+            for sink in &out.sinks {
+                let vout = res.voltage(sink).unwrap();
+                let d = measure::delay_50(res.time(), vin, vout, 0.0, buf.swing).unwrap();
+                next.push(t + d + buf.intrinsic_delay);
+            }
+        }
+        totals = next;
+    }
+    totals
+}
+
+#[test]
+fn stopped_stage_transients_reproduce_the_full_window_bit_for_bit() {
+    // The analyzer ends every stage transient at its last midswing
+    // crossing; the delays it reads from that prefix must be the
+    // full-window ones exactly, over several draws and tree depths.
+    let ex = extractor();
+    let an = ClockTreeAnalyzer::new(&ex, BufferModel::strong());
+    let spec = VariationSpec::typical();
+    let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    for (levels, seeds) in [(2, [5u64, 6, 7]), (3, [8, 9, 10])] {
+        let htree = HTree::new(levels, 3200.0).unwrap();
+        for (k, seed) in seeds.into_iter().enumerate() {
+            let nominal_l = k != 1;
+            let mut rng = SplitMix64::new(seed);
+            let report = an
+                .analyze_with_variation(&htree, &cpw(), &spec, nominal_l, &mut rng)
+                .unwrap();
+            let walk = full_window_walk(&ex, &htree, &cpw(), nominal_l, seed);
+            assert_eq!(
+                bits(&report.sink_delays),
+                bits(&walk),
+                "{levels} levels, seed {seed}, nominal L {nominal_l}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_sink_that_never_crosses_still_errors() {
+    // A window far too short for the wires: the stop rule never fires,
+    // the stage runs the whole window, and the missing crossing is the
+    // same "lengthen the window" error as before.
+    let ex = extractor();
+    let htree = HTree::new(1, 6400.0).unwrap();
+    let stage = htree.level(0).unwrap().stage_tree();
+    let err = ClockTreeAnalyzer::new(&ex, BufferModel::typical())
+        .duration(10e-12)
+        .stage_delays(&stage, &cpw())
+        .unwrap_err();
+    assert!(err.to_string().contains("lengthen the window"), "{err}");
 }

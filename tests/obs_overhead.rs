@@ -187,6 +187,65 @@ fn adaptive_step_loop_does_not_allocate() {
     );
 }
 
+/// A run under a stop rule watches its nodes from state resolved before
+/// the step loop, so stopping adds no per-step allocation either. Runs
+/// stopped at the same crossing allocate alike whatever the window bound
+/// (the recorder's pre-size is one allocation per column at any size),
+/// and a watched run that never stops allocates alike at 50 and 500 steps.
+#[test]
+fn stopped_transient_does_not_allocate_per_step() {
+    use rlcx::spice::{Netlist, Transient, Waveform, GROUND};
+
+    let _guard = level_lock();
+    obs::set_trace_level(TraceLevel::Off);
+
+    /// 30 R–C sections behind a 20 ps ramp: 62 unknowns.
+    fn rc_ladder() -> Netlist {
+        let mut nl = Netlist::new();
+        let mut prev = nl.node("in");
+        nl.vsource("V", prev, GROUND, Waveform::ramp(0.0, 1.0, 0.0, 20e-12))
+            .unwrap();
+        for i in 0..30 {
+            let out = nl.node(format!("n{i}"));
+            nl.resistor(&format!("R{i}"), prev, out, 10.0).unwrap();
+            nl.capacitor(&format!("C{i}"), out, GROUND, 20e-15).unwrap();
+            prev = out;
+        }
+        nl
+    }
+
+    fn allocs_for_run(steps: usize, threshold: f64) -> (u64, usize) {
+        let nl = rc_ladder();
+        let before = thread_allocations();
+        let res = Transient::new(&nl)
+            .timestep(1e-12)
+            .duration(steps as f64 * 1e-12)
+            .stop_when_crossed(["in", "n0", "n5"], threshold, true)
+            .run()
+            .unwrap();
+        let after = thread_allocations();
+        (after - before, res.time().len())
+    }
+
+    let _ = allocs_for_run(8, 0.5); // warm lazy metric state
+    let _ = allocs_for_run(400, 0.5);
+    let (short, short_len) = allocs_for_run(400, 0.5);
+    let (long, long_len) = allocs_for_run(40_000, 0.5);
+    assert!(
+        short_len < 400 && short_len == long_len,
+        "{short_len} vs {long_len}"
+    );
+    assert_eq!(
+        short, long,
+        "a stopped run's allocations must not grow with the window"
+    );
+    // 2 V is never reached: the watch runs every step of the window.
+    let (short, short_len) = allocs_for_run(50, 2.0);
+    let (long, long_len) = allocs_for_run(500, 2.0);
+    assert_eq!((short_len, long_len), (51, 501));
+    assert_eq!(short, long, "watching must not allocate per step");
+}
+
 /// The sharded metric store (PR 7): after a metric's first touch interns
 /// its name and lazily allocates the histogram buckets, the hot path —
 /// counter adds and histogram observes — is pure atomic arithmetic.
